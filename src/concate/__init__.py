@@ -67,7 +67,6 @@ from .montecarlo import (
     write_coverage_csv,
 )
 from .panel import (
-    Observation,
     PanelDataset,
     PanelSchema,
     SummaryStats,
@@ -100,7 +99,6 @@ __all__ = [
     "IdentificationRegion",
     "METHODS",
     "NaiveEstimate",
-    "Observation",
     "PaddingConfig",
     "Paddings",
     "PanelDataset",

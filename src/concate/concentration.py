@@ -13,7 +13,7 @@ each) and the third must be inverted numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, DegenerateArmError, ValidationError
 from .estimators import split_arms
@@ -152,7 +152,7 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> SimulatedData:
     if design in ("C", "D"):
         slope = -SELECTION_SLOPE if design == "C" else SELECTION_SLOPE
         eta = SELECTION_NOISE_SD * rng.standard_normal(shape)
-        prob = expit(slope * y0 + eta)
+        prob = 1.0 / (1.0 + np.exp(-(slope * y0 + eta)))
         d = rng.random(shape) < prob
     else:
         d = rng.random(shape) < TREATMENT_SHARE
@@ -254,8 +254,9 @@ def coverage_table(
 ) -> list[CellCoverage]:
     """All (design, periods) cells, serially or across processes.
 
-    Results are identical for any worker count because every replication
-    derives its own stream from the cell coordinates.
+    At most min(workers, cells, CPUs) processes run.  Results are identical
+    for any worker count because every replication derives its own stream
+    from the cell coordinates.
     """
     designs = list(designs) if designs else list(MC_DESIGNS)
     for design in designs:
@@ -269,6 +270,7 @@ def coverage_table(
         for design in designs
         for periods in periods_list
     ]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         return [_run_cell_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

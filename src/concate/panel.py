@@ -4,18 +4,17 @@ The expected CSV layout is one row per unit and time period with columns
 (unit_id, time, outcome, signal[, group]).  Column names are remappable
 through :class:`PanelSchema`.  Rows with a missing outcome or signal are
 dropped listwise and counted; structurally broken rows (bad unit or time,
-unparseable numbers, out-of-range signals) raise instead.
+unparseable or infinite numbers, out-of-range signals) raise instead.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .errors import DataError, RowError, SchemaError, ValidationError
 
@@ -34,17 +33,6 @@ class PanelSchema:
     time: str = "time"
     outcome: str = "outcome"
     signal: str = "signal"
-    group: str | None = None
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One retained firm-quarter row."""
-
-    unit_id: str
-    time_index: int
-    outcome: float
-    signal: float
     group: str | None = None
 
 
@@ -70,18 +58,30 @@ class PanelDataset:
             raise ValidationError("panel columns have unequal lengths")
         if n == 0:
             raise DataError("panel has no usable rows")
+        for name, values in (("outcome", self.outcome), ("signal", self.signal)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise DataError(f"{name} is not finite at row {bad[0]} (value {values[bad[0]]!r})")
         bad = np.flatnonzero((self.signal < SIGNAL_MIN) | (self.signal > SIGNAL_MAX))
         if bad.size:
             raise DataError(
                 f"signal outside [{SIGNAL_MIN:g}, {SIGNAL_MAX:g}] "
                 f"at row {bad[0]} (value {self.signal[bad[0]]!r})"
             )
-        keys = set()
-        for u, t in zip(self.unit, self.time):
-            key = (u, int(t))
-            if key in keys:
-                raise DataError(f"duplicate (unit_id, time) pair {key}")
-            keys.add(key)
+        # Sort (unit code, time) pairs and compare neighbours; the loop that
+        # names the first duplicate in row order runs only when one exists.
+        codes: dict = {}
+        unit_code = np.fromiter(map(codes.setdefault, self.unit, range(n)), np.int64, n)
+        time = self.time.astype(np.int64, copy=False)
+        order = np.lexsort((time, unit_code))
+        unit_code, time = unit_code[order], time[order]
+        if ((unit_code[1:] == unit_code[:-1]) & (time[1:] == time[:-1])).any():
+            keys = set()
+            for u, t in zip(self.unit, self.time):
+                key = (u, int(t))
+                if key in keys:
+                    raise DataError(f"duplicate (unit_id, time) pair {key}")
+                keys.add(key)
 
     @property
     def n(self) -> int:
@@ -90,13 +90,6 @@ class PanelDataset:
     def times(self) -> np.ndarray:
         """Distinct time indices in increasing order."""
         return np.unique(self.time)
-
-    def observations(self) -> list[Observation]:
-        groups = self.group if self.group is not None else [None] * self.n
-        return [
-            Observation(str(u), int(t), float(y), float(s), g)
-            for u, t, y, s, g in zip(self.unit, self.time, self.outcome, self.signal, groups)
-        ]
 
     def filter_group(self, name: str) -> "PanelDataset":
         """Sub-panel containing only rows whose group label equals ``name``."""
@@ -171,6 +164,8 @@ def _parse_numeric(raw: str, column: str, line_number: int) -> float | None:
         raise RowError(line_number, f"column {column!r} has unparseable value {raw!r}") from None
     if math.isnan(x):
         return None
+    if math.isinf(x):
+        raise RowError(line_number, f"column {column!r} has non-finite value {raw!r}")
     return x
 
 
@@ -178,11 +173,113 @@ def load_csv(path: str | Path, schema: PanelSchema | None = None) -> PanelDatase
     """Read a panel CSV, dropping rows with missing outcome or signal.
 
     Raises SchemaError when a mapped column is absent, RowError (with the
-    1-based physical line number) for unparseable cells, and DataError for
-    out-of-range signals or duplicate (unit_id, time) pairs.
+    1-based physical line number) for unparseable or infinite cells, and
+    DataError for out-of-range signals or duplicate (unit_id, time) pairs.
     """
     schema = schema or PanelSchema()
     path = Path(path)
+    panel = _load_columns(path, schema)
+    return panel if panel is not None else _load_rows(path, schema)
+
+
+#: Each missing marker mapped to a string that float() reads as NaN.
+_MISSING_AS_NAN = dict.fromkeys(MISSING_MARKERS, "nan")
+
+
+def _float_column(cells: list[str]) -> np.ndarray:
+    """Numeric cells as floats, NaN for a missing marker.
+
+    Raises ValueError for any other cell float() rejects, a marker padded
+    with spaces included; the row parser then decides.
+    """
+    return np.fromiter(map(float, map(_MISSING_AS_NAN.get, cells, cells)), np.float64, len(cells))
+
+
+def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
+    """Fast path of :func:`load_csv`: one pass collecting the mapped cells per
+    column, then one conversion per column.
+
+    Returns None for anything the row parser must report or decide: a
+    missing column, a row whose width differs from the header's, any cell
+    that fails to convert, an empty unit, an infinite value, an
+    out-of-range signal on a retained row, or no retained row.  Blank
+    lines are skipped, as ``csv.DictReader`` does, and a duplicated header
+    name maps to its last column, as in ``DictReader``'s row dicts.
+    """
+    units: list[str] = []
+    times: list[str] = []
+    outcomes: list[str] = []
+    signals: list[str] = []
+    groups: list[str] = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return None
+        index = {name: i for i, name in enumerate(header)}
+        required = [schema.unit, schema.time, schema.outcome, schema.signal]
+        if schema.group is not None:
+            required.append(schema.group)
+        if any(name not in index for name in required):
+            return None
+        iu, it, iy, i_s = (index[name] for name in required[:4])
+        ig = index[schema.group] if schema.group is not None else None
+        add_unit, add_time = units.append, times.append
+        add_outcome, add_signal, add_group = outcomes.append, signals.append, groups.append
+        width = len(header)
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if row:
+                        return None
+                    continue
+                add_unit(row[iu])
+                add_time(row[it])
+                add_outcome(row[iy])
+                add_signal(row[i_s])
+                if ig is not None:
+                    add_group(row[ig])
+        except csv.Error:
+            return None
+    # Convert column by column, releasing each list of raw cells once done.
+    try:
+        unit = list(map(str.strip, units))
+        del units
+        if "" in unit:
+            return None
+        time = np.array(list(map(int, times)), dtype=np.int64)
+        del times
+        outcome = _float_column(outcomes)
+        del outcomes
+        signal = _float_column(signals)
+        del signals
+    except (ValueError, OverflowError):
+        return None
+    if np.isinf(outcome).any() or np.isinf(signal).any():
+        return None
+    keep = ~(np.isnan(outcome) | np.isnan(signal))
+    n_kept = int(keep.sum())
+    if n_kept == 0:
+        return None
+    signal = signal[keep]
+    if ((signal < SIGNAL_MIN) | (signal > SIGNAL_MAX)).any():
+        return None
+    group = None
+    if ig is not None:
+        group = np.array([g.strip() or None for g in groups], dtype=object)[keep]
+    return PanelDataset(
+        unit=np.array(unit, dtype=object)[keep],
+        time=time[keep],
+        outcome=outcome[keep],
+        signal=signal,
+        group=group,
+        n_dropped=keep.size - n_kept,
+        source=str(path),
+    )
+
+
+def _load_rows(path: Path, schema: PanelSchema) -> PanelDataset:
+    """Row-by-row parser of :func:`load_csv`, and its only error reporter."""
     units: list[str] = []
     times: list[int] = []
     outcomes: list[float] = []
@@ -293,6 +390,10 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
 
 
 def _kendall(x: np.ndarray, y: np.ndarray) -> float | None:
+    # Imported here: scipy.stats costs about a second to import and only
+    # the rolling Kendall correlation needs it.
+    from scipy.stats import kendalltau
+
     tau = kendalltau(x, y).statistic
     if tau is None or math.isnan(tau):
         return None

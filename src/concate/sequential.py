@@ -11,15 +11,19 @@ whose band excludes zero.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bands import BandOptions, BandResult, compute_band
-from .errors import DegenerateArmError, EmptyScanError, ValidationError
+from .errors import ConfigurationError, DegenerateArmError, EmptyScanError, ValidationError
 from .estimators import group_stats
 from .panel import PanelDataset, assign_treatment
 
 DEFAULT_MIN_GROUP = 10
+
+#: Largest number of looks a grid spec may expand to.
+MAX_LOOKS = 10_000
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,11 @@ class ThresholdGrid:
 
     @classmethod
     def from_spec(cls, text: str) -> "ThresholdGrid":
-        """Parse 'start:stop:step'; stop is included when step divides evenly."""
+        """Parse 'start:stop:step'; stop is included when step divides evenly.
+
+        The grid may hold at most MAX_LOOKS thresholds; the count is checked
+        before any threshold is built.
+        """
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid must look like 'start:stop:step', got {text!r}")
@@ -55,11 +63,16 @@ class ThresholdGrid:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ValidationError(f"grid has non-numeric parts: {text!r}") from None
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ValidationError(f"grid has non-finite parts: {text!r}")
         if step <= 0.0:
             raise ValidationError(f"grid step must be positive, got {step}")
         if stop < start:
             raise ValidationError(f"grid stop {stop} is below start {start}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_LOOKS:  # also true when the quotient overflows to inf
+            raise ValidationError(f"grid {text!r} has more than {MAX_LOOKS} thresholds")
+        count = int(steps) + 1
         return cls(taus=tuple(start + i * step for i in range(count)))
 
 
@@ -94,7 +107,8 @@ def spend_alpha(
     base = alpha / n_looks
     out = [base] * n_looks
     out[-1] = alpha - base * (n_looks - 1)
-    assert abs(math.fsum(out) - alpha) < 1e-15
+    if abs(math.fsum(out) - alpha) >= 1e-15:
+        raise ConfigurationError(f"equal spending of alpha = {alpha} over {n_looks} looks is inexact")
     return out
 
 
@@ -147,7 +161,7 @@ def scan(
     below min_group or the band degenerates there.  All grid points are
     always evaluated; the tipping threshold is the smallest retained one
     whose band excludes zero.  Raises EmptyScanError when nothing is
-    retained.
+    retained.  Looks run on at most min(workers, looks, CPUs) threads.
     """
     if min_group < 0:
         raise ValidationError(f"min_group must be nonnegative, got {min_group}")
@@ -195,6 +209,7 @@ def scan(
         )
 
     items = list(zip(grid.taus, alphas))
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers == 1:
         rows = tuple(evaluate(item) for item in items)
     else:

@@ -1,7 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,14 @@ class TestBounds:
         assert main(["bounds", path, "--tau", "0"]) == 2
         capsys.readouterr()
 
+    def test_infinite_outcome_is_a_data_error(self, tmp_path, capsys):
+        text = SMALL.replace("u3,1,1.0,30", "u3,1,inf,30")
+        rc = main(["bounds", write(tmp_path, text), "--tau", "40"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "line 4: column 'outcome' has non-finite value 'inf'" in captured.err
+        assert captured.out == ""
+
     def test_single_treated_observation_is_degenerate(self, tmp_path, capsys):
         rc = main(["bounds", write(tmp_path, SMALL), "--tau", "80"])
         assert rc == 4
@@ -292,6 +304,12 @@ class TestScan:
         assert rc == 2
         capsys.readouterr()
 
+    def test_non_finite_or_oversized_grid_is_a_validation_error(self, tmp_path, capsys):
+        path = demo_csv(tmp_path)
+        for spec in ("1:99:nan", "nan:99:1", "1:inf:1", "1:99:1e-9"):
+            assert main(["scan", path, "--grid", spec]) == 2
+            assert "error:" in capsys.readouterr().err
+
     def test_min_group_flag(self, tmp_path):
         out = tmp_path / "scan.json"
         rc = main(["scan", demo_csv(tmp_path), "--min-group", "300", "--json", str(out)])
@@ -368,3 +386,20 @@ class TestParser:
             main(["simulate", "--dgp", "G", "--reps", "5"])
         assert err.value.code == 2
         capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, concate.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(concate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "[]"

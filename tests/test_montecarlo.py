@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from concate import montecarlo
 from concate.errors import ValidationError
 from concate.hybrid import MC_DESIGNS, replication_bands
 from concate.montecarlo import (
@@ -209,6 +210,33 @@ class TestCoverageTable:
             designs=["A", "G"], periods_list=[1], n_reps=30, base_seed=5, workers=2
         )
         assert serial == pooled
+
+    def test_processes_are_clamped_to_cells_and_cpus(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        kwargs = dict(designs=["A", "G"], n_reps=5, base_seed=5)
+        serial = coverage_table(periods_list=[1, 2, 5], **kwargs)
+        assert coverage_table(periods_list=[1, 2, 5], workers=1000, **kwargs) == serial
+        coverage_table(periods_list=[1], workers=1000, **kwargs)
+        assert pools == [4, 2]
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+        assert coverage_table(periods_list=[1, 2, 5], workers=1000, **kwargs) == serial
+        assert pools == [4, 2]
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from concate.errors import DataError, RowError, SchemaError, ValidationError
+from concate.errors import ConcateError, DataError, RowError, SchemaError, ValidationError
 from concate.panel import (
+    MISSING_MARKERS,
     PanelDataset,
     PanelSchema,
+    _load_columns,
+    _load_rows,
     assign_treatment,
     load_csv,
     rolling_correlation,
@@ -147,6 +150,108 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(path).filter_group("tech")
 
+    def test_infinite_cells_report_their_line(self, tmp_path):
+        for column, row in (
+            ("outcome", "f2,1,inf,40\n"),
+            ("outcome", "f2,1,-Infinity,40\n"),
+            ("signal", "f2,1,1.0,-inf\n"),
+            ("outcome", "f2,1,inf,NA\n"),
+        ):
+            path = write(tmp_path, HEADER + "f1,1,1.0,40\n" + row)
+            with pytest.raises(RowError) as err:
+                load_csv(path)
+            assert err.value.line_number == 3
+            assert f"column {column!r} has non-finite value" in str(err.value)
+
+
+def _outcome(loader, path, schema):
+    """The dataset a loader returns, or its error as (class, message, line)."""
+    try:
+        return loader(path, schema)
+    except ConcateError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def _assert_same(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, PanelDataset)
+    for name in ("unit", "time", "outcome", "signal", "group"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
+    assert (got.n_dropped, got.source) == (want.n_dropped, want.source)
+
+
+GROUP_HEADER = "unit_id,time,outcome,signal,sector\n"
+
+# (case, file text, group column, whether the column-wise parse decides it)
+INGEST_CASES = [
+    ("plain", HEADER + "f1,1,1.5,40\nf2,1,2.5,60\n", None, True),
+    ("blank lines", HEADER + "\nf1,1,1.5,40\n\n\nf2,1,2.5,60\n\n", None, True),
+    ("blank line before a bad row", HEADER + "f1,1,1.5,40\n\nf2,x,2.5,60\n", None, False),
+    ("short row", HEADER + "f1,1,1.5,40\nf2,1,2.5\n", None, False),
+    ("long row", HEADER + "f1,1,1.5,40\nf2,1,2.5,60,extra\n", None, False),
+    ("duplicate header name", "unit_id,time,outcome,signal,outcome\nf1,1,1.5,40,7\nf2,1,2.5,60,\n",
+     None, True),
+    ("exact missing markers",
+     HEADER + "".join(f"f{i},1,{m},50\n" for i, m in enumerate(sorted(MISSING_MARKERS)))
+     + "k,1,1.0,NaN\nkeep,1,1.0,50\n", None, True),
+    ("padded missing markers", HEADER + "f1,1, NA ,40\nf2,1,2.5, . \nf3,1,3.5,50\n", None, False),
+    ("padded numbers and units", HEADER + " f1 , 1 , 1.5 , 40 \nf2,1,2.5,60\n", None, True),
+    ("float-valued times", HEADER + "f1,3.0,1.5,40\nf2,2,2.5,60\n", None, False),
+    ("fractional time", HEADER + "f1,1,1.5,40\nf2,2.5,2.5,60\n", None, False),
+    ("quoted multi-line unit", HEADER + '"f\n1",1,1.5,40\n"f2",1,"2.5",60\n', None, True),
+    ("multi-line field before a bad row",
+     HEADER + '"f\n1",1,1.5,40\nf2,1,two,60\n', None, False),
+    ("empty unit", HEADER + "f1,1,1.5,40\n  ,1,2.5,60\n", None, False),
+    ("out-of-range signal", HEADER + "f1,1,1.5,40\nf2,1,2.5,101\n", None, False),
+    ("out-of-range signal on a dropped row", HEADER + "f1,1,1.5,40\nf2,1,,101\n", None, True),
+    ("infinite outcome", HEADER + "f1,1,1.5,40\nf2,1,inf,60\n", None, False),
+    ("unparseable outcome", HEADER + "f1,1,1.5,40\nf2,1,2.5x,60\n", None, False),
+    ("duplicate key", HEADER + "f1,1,1.5,40\nf2,1,2.5,60\nf1,1,3.5,70\n", None, True),
+    ("group column", GROUP_HEADER + "f1,1,1.5,40,fin\nf2,1,2.5,60, \nf3,1,,60,tech\n", "sector", True),
+    ("missing group column", HEADER + "f1,1,1.5,40\n", "sector", False),
+    ("all rows dropped", HEADER + "f1,1,NA,40\nf2,1,2.5,\n", None, False),
+    ("header only", HEADER, None, False),
+    ("empty file", "", None, False),
+]
+
+
+class TestColumnWiseIngest:
+    """The column-wise parse against the row parser it falls back to."""
+
+    @pytest.mark.parametrize(
+        "text, group, fast", [c[1:] for c in INGEST_CASES], ids=[c[0] for c in INGEST_CASES]
+    )
+    def test_matches_the_row_parser(self, tmp_path, text, group, fast):
+        path = write(tmp_path, text)
+        schema = PanelSchema(group=group)
+        want = _outcome(_load_rows, path, schema)
+        columns = _outcome(_load_columns, path, schema)
+        assert (columns is not None) == fast
+        if fast:
+            _assert_same(columns, want)
+        _assert_same(_outcome(load_csv, path, schema), want)
+
+    def test_random_panel_with_markers(self, tmp_path):
+        rng = np.random.default_rng(11)
+        markers = sorted(MISSING_MARKERS)
+        lines = ["id,extra,signal,time,outcome\n"]
+        for i in range(3_000):
+            y = markers[rng.integers(len(markers))] if rng.random() < 0.1 else repr(rng.normal())
+            s = markers[rng.integers(len(markers))] if rng.random() < 0.05 else f"{rng.uniform(0, 100):.4f}"
+            lines.append(f"u{i // 5},{rng.integers(9)},{s},{i % 5},{y}\n")
+        path = write(tmp_path, "".join(lines))
+        schema = PanelSchema(unit="id", group="extra")
+        columns = _load_columns(path, schema)
+        assert columns is not None and columns.n_dropped > 0
+        _assert_same(columns, _load_rows(path, schema))
+
 
 class TestSyntheticApplicationScale:
     """Format anchors at the scale of the application tables."""
@@ -219,6 +324,39 @@ class TestPanelValidation:
     def test_out_of_range_signal_rejected_at_construction(self):
         with pytest.raises(DataError):
             small_panel([50.0, 101.0])
+
+    def test_non_finite_values_rejected_at_construction(self):
+        for outcome, signal, column in (
+            ([1.0, np.nan], [10.0, 20.0], "outcome"),
+            ([1.0, -np.inf], [10.0, 20.0], "outcome"),
+            ([1.0, 2.0], [np.nan, 20.0], "signal"),
+            ([1.0, 2.0], [10.0, np.inf], "signal"),
+        ):
+            with pytest.raises(DataError) as err:
+                small_panel(signal, outcome=outcome)
+            assert str(err.value).startswith(f"{column} is not finite")
+
+    def test_duplicate_key_names_the_first_repeat_in_row_order(self):
+        unit = np.array(["b", "a", "c", "a", "b", "a"], dtype=object)
+        time = np.array([2, 1, 1, 2, 2, 1], dtype=np.int64)
+        with pytest.raises(DataError) as err:
+            PanelDataset(unit=unit, time=time, outcome=np.zeros(6), signal=np.full(6, 50.0))
+        assert str(err.value) == "duplicate (unit_id, time) pair ('b', 2)"
+        # Sorted by unit alone, unit "a"'s two time-1 rows would not be neighbours.
+        with pytest.raises(DataError) as err:
+            PanelDataset(unit=unit[1:], time=time[1:], outcome=np.zeros(5), signal=np.full(5, 50.0))
+        assert str(err.value) == "duplicate (unit_id, time) pair ('a', 1)"
+
+    def test_same_time_in_different_units_is_not_a_duplicate(self):
+        rng = np.random.default_rng(5)
+        n_units, periods = 300, 7
+        unit = np.repeat([f"u{i}" for i in range(n_units)], periods).astype(object)
+        time = np.tile(np.arange(periods, dtype=np.int64), n_units)
+        order = rng.permutation(unit.size)
+        panel = PanelDataset(
+            unit=unit[order], time=time[order], outcome=np.zeros(unit.size), signal=np.ones(unit.size)
+        )
+        assert panel.n == n_units * periods
 
 
 class TestSummaryStats:

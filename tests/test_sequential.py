@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from concate import sequential
 from concate.bands import METHODS, BandOptions, BandResult, compute_band
 from concate.concentration import PaddingConfig, Truncation, iid_band, mixing_band
 from concate.datasets import make_null_panel, make_tipping_demo_panel
-from concate.errors import EmptyScanError, ValidationError
+from concate.errors import ConfigurationError, EmptyScanError, ValidationError
 from concate.estimators import naive_estimate, split_arms
 from concate.hybrid import hybrid_band
 from concate.manski import delta_method_band, extrema_support, manski_region, trimmed_support
-from concate.sequential import DEFAULT_MIN_GROUP, ThresholdGrid, scan, spend_alpha
+from concate.sequential import DEFAULT_MIN_GROUP, MAX_LOOKS, ThresholdGrid, scan, spend_alpha
 
 
 def random_stats(rng, n_lo=30, n_hi=200, arm_min=5):
@@ -65,6 +66,11 @@ class TestSpendAlpha:
         with pytest.raises(ValidationError):
             spend_alpha(0.05, 3, [0.02, 0.02, 0.02])
 
+    def test_inexact_equal_spending_raises(self, monkeypatch):
+        monkeypatch.setattr(math, "fsum", lambda values: 1.0)
+        with pytest.raises(ConfigurationError):
+            spend_alpha(0.05, 19)
+
     def test_alpha_and_look_validation(self):
         with pytest.raises(ValidationError):
             spend_alpha(0.0, 5)
@@ -113,6 +119,23 @@ class TestThresholdGrid:
             ThresholdGrid.from_spec("5:95:0")
         with pytest.raises(ValidationError):
             ThresholdGrid.from_spec("95:5:5")
+
+    def test_from_spec_rejects_non_finite_parts(self):
+        for spec in ("1:99:nan", "nan:99:1", "1:nan:1", "1:inf:1", "-inf:50:1", "1:99:inf"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                ThresholdGrid.from_spec(spec)
+
+    def test_from_spec_caps_the_number_of_looks(self):
+        # A 1e-9 step would expand to about 1e11 thresholds; the count is
+        # checked before any is built.
+        with pytest.raises(ValidationError, match="more than"):
+            ThresholdGrid.from_spec("1:99:1e-9")
+        with pytest.raises(ValidationError, match="more than"):
+            ThresholdGrid.from_spec("1e-300:99:1e-300")
+        step = 2.0**-7  # exact in binary, so the count is exact
+        assert len(ThresholdGrid.from_spec(f"{step}:{MAX_LOOKS * step}:{step}")) == MAX_LOOKS
+        with pytest.raises(ValidationError, match="more than"):
+            ThresholdGrid.from_spec(f"{step}:{(MAX_LOOKS + 1) * step}:{step}")
 
 
 class TestComputeBand:
@@ -248,6 +271,34 @@ class TestScan:
         threaded = scan(panel, grid, "hybrid", workers=8)
         assert serial.rows == threaded.rows
         assert serial.tipping_tau == threaded.tipping_tau
+
+    def test_threads_are_clamped_to_looks_and_cpus(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sequential, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sequential.os, "cpu_count", lambda: 4)
+        panel = make_tipping_demo_panel()
+        serial = scan(panel, ThresholdGrid.default(), "hybrid")
+        assert scan(panel, ThresholdGrid.default(), "hybrid", workers=1000).rows == serial.rows
+        assert scan(panel, ThresholdGrid(taus=(30.0, 55.0)), "hybrid", workers=1000).n_skipped == 0
+        assert scan(panel, ThresholdGrid.default(), "hybrid", workers=3).rows == serial.rows
+        assert pools == [4, 2, 3]
+        monkeypatch.setattr(sequential.os, "cpu_count", lambda: None)
+        assert scan(panel, ThresholdGrid.default(), "hybrid", workers=1000).rows == serial.rows
+        assert pools == [4, 2, 3]
 
     def test_null_panel_usually_finds_no_tipping(self):
         panel = make_null_panel(120, 1, seed=7)
