@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .concentration import Paddings, Truncation, dkw_epsilon
 from .errors import DataError, DegenerateArmError, ValidationError
-from .estimators import GroupStats, split_arms
+from .estimators import GroupStats
 from .manski import (
     IdentificationRegion,
     SupportBounds,
@@ -168,6 +169,78 @@ def hybrid_band(
     )
 
 
+class _Intervals(NamedTuple):
+    """Both intervals of a block of replications, one array entry per row."""
+
+    manski_lower: np.ndarray
+    manski_upper: np.ndarray
+    hybrid_lower: np.ndarray
+    hybrid_upper: np.ndarray
+    banded_lower: np.ndarray
+    banded_upper: np.ndarray
+    support_lower: np.ndarray
+    support_upper: np.ndarray
+    epsilon: float
+    se: np.ndarray
+
+
+def _replication_intervals(
+    y0: np.ndarray, y: np.ndarray, d: np.ndarray, design: str, alpha: float
+) -> _Intervals:
+    """Coverage-experiment intervals for a (B, N) block, one row per replication.
+
+    Arm statistics are masked reductions along axis 1.  Every row needs
+    both arms non-empty and, outside design G, two observations per arm;
+    callers check that.  The endpoint SE is the closed form of g' S g
+    for the gradients and covariance of :mod:`concate.manski`:
+
+        se^2 = p1^2 v1 / n1 + p0^2 v0 / n0 + (p1 p0 / N) (g_p1 - g_p0)^2
+
+    Both arms share the support [a, b], so g_p1 - g_p0 = mean1 + mean0 -
+    a - b at both endpoints and one SE serves both.  ``banded_*`` widens
+    the plug-in interval by it at the normal quantile of 1 - alpha / 2.
+    For design G the hybrid arrays are the plug-in arrays and the reported
+    epsilon and SE are zero.
+    """
+    n = y.shape[1]
+    n1 = np.count_nonzero(d, axis=1)
+    n0 = n - n1
+    p1, p0 = n1 / n, n0 / n
+    in1 = d.astype(float)
+    in0 = 1.0 - in1
+    mean1 = np.einsum("ij,ij->i", y, in1) / n1
+    mean0 = np.einsum("ij,ij->i", y, in0) / n0
+    if design == "G":
+        a = np.full(n1.shape, -5.0)
+        b = np.full(n1.shape, 5.0)
+    else:
+        b = y0.max(axis=1)
+        a = np.zeros_like(b) if design == "F" else y0.min(axis=1)
+    base = mean1 * p1 - mean0 * p0
+    lower = base + a * p0 - b * p1
+    upper = base + b * p0 - a * p1
+    # two-pass n - 1 variances; NaN, without a warning, for a one-observation arm
+    dev = y - np.where(d, mean1[:, None], mean0[:, None])
+    sq = dev * dev
+    var1 = np.divide(np.einsum("ij,ij->i", sq, in1), n1 - 1,
+                     out=np.full(n1.shape, np.nan), where=n1 > 1)
+    var0 = np.divide(np.einsum("ij,ij->i", sq, in0), n0 - 1,
+                     out=np.full(n0.shape, np.nan), where=n0 > 1)
+    mean_terms = p1 * p1 * var1 / n1 + p0 * p0 * var0 / n0
+    se = np.sqrt(mean_terms + p1 * p0 / n * (mean1 + mean0 - a - b) ** 2)
+    z_banded = norm_ppf(1.0 - alpha / 2.0)
+    banded_lower = lower - z_banded * se
+    banded_upper = upper + z_banded * se
+    if design == "G":
+        return _Intervals(lower, upper, lower, upper, banded_lower, banded_upper,
+                          a, b, 0.0, np.zeros(n1.shape))
+    log_c = math.log(1.0 / alpha) if design == "F" else math.log(2.0 / alpha)
+    epsilon = math.sqrt(log_c / (2.0 * n))
+    spread = norm_ppf(1.0 - alpha / 4.0) * np.hypot(se, se)
+    return _Intervals(lower, upper, lower - epsilon - spread, upper + epsilon + spread,
+                      banded_lower, banded_upper, a, b, epsilon, se)
+
+
 def replication_bands(
     y0: np.ndarray,
     y: np.ndarray,
@@ -189,7 +262,8 @@ def replication_bands(
     eps = sqrt(log(C) / (2 N)), with C = 2 / alpha two-sided and C = 1 /
     alpha for the one-sided design F, plus a symmetric delta-method term
     at the normal quantile of 1 - alpha / 4 applied to the combined
-    endpoint scale sqrt(se_lower^2 + se_upper^2).
+    endpoint scale sqrt(se_lower^2 + se_upper^2).  This is a one-row
+    call of the block kernel that scores the coverage experiment.
     """
     if design not in MC_DESIGNS:
         raise ValidationError(f"design must be one of {MC_DESIGNS}, got {design!r}")
@@ -198,47 +272,27 @@ def replication_bands(
     y0 = np.asarray(y0, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     d = np.asarray(d, dtype=bool).ravel()
-    stats = split_arms(y, d)
-    if stats.degenerate:
+    if not y0.size == y.size == d.size:
+        raise ValidationError("baseline, outcome and treatment arrays have different sizes")
+    if y.size == 0:
+        raise ValidationError("cannot split an empty sample")
+    n1 = int(np.count_nonzero(d))
+    if min(n1, d.size - n1) == 0:
         raise DegenerateArmError("replication has an empty arm")
-    if design == "G":
-        a, b = -5.0, 5.0
-    elif design == "F":
-        a, b = 0.0, float(y0.max())
-    else:
-        a, b = float(y0.min()), float(y0.max())
-    support = known_support(a, b)
-    region = manski_region(stats, support)
-    if design == "G":
-        return ReplicationBands(
-            manski_lower=region.lower,
-            manski_upper=region.upper,
-            hybrid_lower=region.lower,
-            hybrid_upper=region.upper,
-            support_lower=a,
-            support_upper=b,
-            epsilon=0.0,
-            se_lower=0.0,
-            se_upper=0.0,
-        )
-    if min(stats.n_treated, stats.n_control) < 2:
+    if design != "G" and min(n1, d.size - n1) < 2:
         raise DegenerateArmError("replication needs 2+ observations per arm")
-    log_c = math.log(1.0 / alpha) if design == "F" else math.log(2.0 / alpha)
-    epsilon = math.sqrt(log_c / (2.0 * y.size))
-    cov = sampling_covariance(stats)
-    grad_lower, grad_upper = bound_gradients(stats, support)
-    se_lower = math.sqrt(float(grad_lower @ cov @ grad_lower))
-    se_upper = math.sqrt(float(grad_upper @ cov @ grad_upper))
-    se_scale = math.hypot(se_lower, se_upper)
-    z = norm_ppf(1.0 - alpha / 4.0)
+    rows = _replication_intervals(y0[None, :], y[None, :], d[None, :], design, alpha)
+    support_lower, support_upper = float(rows.support_lower[0]), float(rows.support_upper[0])
+    if math.isnan(support_lower) or math.isnan(support_upper):
+        raise ValidationError("support is undefined (NaN)")
     return ReplicationBands(
-        manski_lower=region.lower,
-        manski_upper=region.upper,
-        hybrid_lower=region.lower - epsilon - z * se_scale,
-        hybrid_upper=region.upper + epsilon + z * se_scale,
-        support_lower=a,
-        support_upper=b,
-        epsilon=epsilon,
-        se_lower=se_lower,
-        se_upper=se_upper,
+        manski_lower=float(rows.manski_lower[0]),
+        manski_upper=float(rows.manski_upper[0]),
+        hybrid_lower=float(rows.hybrid_lower[0]),
+        hybrid_upper=float(rows.hybrid_upper[0]),
+        support_lower=support_lower,
+        support_upper=support_upper,
+        epsilon=rows.epsilon,
+        se_lower=float(rows.se[0]),
+        se_upper=float(rows.se[0]),
     )

@@ -15,8 +15,11 @@ additive effect on the treated:
 Treatment is Bernoulli(0.3) except in C and D, where the assignment
 probability is a logistic function of the baseline outcome plus noise.
 Every replication draws its generator from (base_seed, design, n,
-periods, replication, attempt), so results are byte-identical no matter
-how replications are distributed over workers.
+periods, replication, attempt) and draws on that stream alone.  The
+statistics are scored per block of accepted replications, as masked
+reductions over a (B, N) array.  No replication's numbers depend on its
+neighbours, so outputs are byte-identical for any block size and any
+number of workers.
 """
 
 from __future__ import annotations
@@ -30,11 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateArmError, ValidationError
-from .estimators import split_arms
-from .hybrid import MC_DESIGNS, replication_bands
-from .manski import bound_gradients, known_support, manski_region, sampling_covariance
-from .stats import norm_ppf
+from .errors import ConfigurationError, ValidationError
+from .hybrid import MC_DESIGNS, _replication_intervals
 
 MANSKI_VARIANTS = ("plugin", "banded")
 
@@ -47,6 +47,8 @@ CONTAMINATION_VALUE = 10.0
 CHI_SQUARE_DF = 3
 STUDENT_T_DF = 3
 UNIFORM_LIMITS = (-5.0, 5.0)
+#: Elements per block of replications scored together (B = this // N rows).
+BLOCK_ELEMENTS = 16_384
 
 
 @dataclass(frozen=True)
@@ -159,20 +161,8 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> SimulatedData:
     return SimulatedData(y0=y0, d=d, y=y0 + spec.delta * d)
 
 
-def _banded_manski(
-    y: np.ndarray, d: np.ndarray, a: float, b: float, alpha: float
-) -> tuple[float, float]:
-    """Plug-in interval widened by two-sided delta-method critical values."""
-    stats = split_arms(y.ravel(), d.ravel())
-    support = known_support(a, b)
-    region = manski_region(stats, support)
-    cov = sampling_covariance(stats)
-    grad_lower, grad_upper = bound_gradients(stats, support)
-    z = norm_ppf(1.0 - alpha / 2.0)
-    return (
-        region.lower - z * math.sqrt(float(grad_lower @ cov @ grad_lower)),
-        region.upper + z * math.sqrt(float(grad_upper @ cov @ grad_upper)),
-    )
+def _hits(lower: np.ndarray, upper: np.ndarray, value: float) -> int:
+    return int(np.count_nonzero((lower <= value) & (value <= upper)))
 
 
 def run_cell(
@@ -186,7 +176,9 @@ def run_cell(
 
     A replication whose treatment split leaves fewer than 2 observations
     in either arm is redrawn from the next attempt stream; redraws are
-    counted and reported, never silently absorbed.
+    counted and reported, never silently absorbed.  Accepted draws are
+    copied into (B, N) buffers and scored a block at a time, with
+    B = max(1, BLOCK_ELEMENTS // N).
     """
     if n_reps < 1:
         raise ValidationError(f"n_reps must be positive, got {n_reps}")
@@ -194,39 +186,44 @@ def run_cell(
         raise ValidationError(
             f"manski_variant must be one of {MANSKI_VARIANTS}, got {manski_variant!r}"
         )
+    n_total = spec.n_total
+    block = max(1, BLOCK_ELEMENTS // n_total)
+    y0_buf = np.empty((block, n_total))
+    d_buf = np.empty((block, n_total), dtype=bool)
     hits_hybrid = 0
     hits_manski = 0
     redraws = 0
-    for rep in range(n_reps):
-        for attempt in range(1000):
-            rng = np.random.default_rng(
-                replication_seed(base_seed, spec.design, spec.n_units, spec.periods, rep, attempt)
-            )
-            data = generate(spec, rng)
-            n1 = int(data.d.sum())
-            if 2 <= n1 <= data.d.size - 2:
-                break
-            redraws += 1
-        else:
-            raise ConfigurationError(
-                f"replication {rep}: 1000 consecutive draws left an arm empty"
-            )
-        bands = replication_bands(data.y0, data.y, data.d, alpha, spec.design)
+    for first in range(0, n_reps, block):
+        rows = min(block, n_reps - first)
+        for row in range(rows):
+            rep = first + row
+            for attempt in range(1000):
+                rng = np.random.default_rng(
+                    replication_seed(base_seed, spec.design, spec.n_units, spec.periods, rep, attempt)
+                )
+                data = generate(spec, rng)
+                n1 = int(data.d.sum())
+                if 2 <= n1 <= data.d.size - 2:
+                    break
+                redraws += 1
+            else:
+                raise ConfigurationError(
+                    f"replication {rep}: 1000 consecutive draws left an arm empty"
+                )
+            y0_buf[row] = data.y0.ravel()
+            d_buf[row] = data.d.ravel()
+        y0, d = y0_buf[:rows], d_buf[:rows]
+        bands = _replication_intervals(y0, y0 + spec.delta * d, d, spec.design, alpha)
         if manski_variant == "plugin":
-            manski_interval = (bands.manski_lower, bands.manski_upper)
+            hits_manski += _hits(bands.manski_lower, bands.manski_upper, spec.delta)
         else:
-            manski_interval = _banded_manski(
-                data.y, data.d, bands.support_lower, bands.support_upper, alpha
-            )
-        if manski_interval[0] <= spec.delta <= manski_interval[1]:
-            hits_manski += 1
-        if bands.hybrid_lower <= spec.delta <= bands.hybrid_upper:
-            hits_hybrid += 1
+            hits_manski += _hits(bands.banded_lower, bands.banded_upper, spec.delta)
+        hits_hybrid += _hits(bands.hybrid_lower, bands.hybrid_upper, spec.delta)
     return CellCoverage(
         design=spec.design,
         n_units=spec.n_units,
         periods=spec.periods,
-        n_total=spec.n_total,
+        n_total=n_total,
         coverage_hybrid_pct=100.0 * hits_hybrid / n_reps,
         coverage_manski_pct=100.0 * hits_manski / n_reps,
         n_reps=n_reps,

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -357,6 +358,34 @@ class TestSimulate:
             assert rc == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "variant, csv_sha256, json_sha256",
+        [
+            (
+                "plugin",
+                "3095dc8b8cad1e8722e8b1e3aeaf957d2c5bae8c4a8508192f8f001770669141",
+                "d3dec66af8b65f1570e896aa33d6907f726c1b56ad62213b046c67d1bcc48066",
+            ),
+            (
+                "banded",
+                "4e7ada8cf3b2fe93cefeff84abb2b249d154c45d83aa72b68e2a427ff1aa1259",
+                "8390db70e0e78e5c576c8dd90c6a39c063f446d9f6612a5b83152c972b5fc7fa",
+            ),
+        ],
+    )
+    def test_outputs_are_pinned(self, tmp_path, capsys, variant, csv_sha256, json_sha256):
+        """Digests recorded from the per-replication implementation; the
+        batched statistics must reproduce both files byte for byte."""
+        out, report = tmp_path / "cov.csv", tmp_path / "cov.json"
+        rc = main([
+            "simulate", "--dgp", "all", "--T", "1,2", "--reps", "200", "--seed", "7",
+            "--manski-variant", variant, "--out", str(out), "--json", str(report),
+        ])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
+        capsys.readouterr()
 
     def test_validation_exit_codes(self, tmp_path, capsys):
         out = str(tmp_path / "cov.csv")

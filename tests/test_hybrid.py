@@ -1,6 +1,7 @@
 """Tests for the hybrid band and the per-replication band pair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,10 +161,17 @@ class TestReplicationBands:
         assert bands.epsilon == 0.0 and bands.se_lower == 0.0
 
     def test_known_support_design_allows_single_observation_arms(self):
+        """The undefined n - 1 variance of a one-observation arm is not
+        needed for design G and must not reach stderr as a RuntimeWarning."""
         y0 = np.array([-1.0, 0.0, 1.0, 2.0])
         d = np.array([True, False, False, False])
-        bands = replication_bands(y0, y0, d, 0.05, "G")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bands = replication_bands(y0, y0, d, 0.05, "G")
+            flipped = replication_bands(y0, y0, ~d, 0.05, "G")
         assert bands.hybrid_lower == bands.manski_lower
+        assert flipped.hybrid_upper == flipped.manski_upper
+        assert bands.se_lower == bands.se_upper == 0.0
 
     def test_pooled_epsilon_anchor(self):
         rng = np.random.default_rng(131)

@@ -1,14 +1,21 @@
 """Tests for the outcome designs and the coverage experiment."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from concate import montecarlo
 from concate.errors import ValidationError
-from concate.hybrid import MC_DESIGNS, replication_bands
+from concate.estimators import split_arms
+from concate.hybrid import MC_DESIGNS, _replication_intervals, replication_bands
+from concate.manski import bound_gradients, known_support, manski_region, sampling_covariance
 from concate.montecarlo import (
+    BLOCK_ELEMENTS,
     MANSKI_VARIANTS,
+    CellCoverage,
     DgpSpec,
     coverage_table,
     generate,
@@ -16,8 +23,95 @@ from concate.montecarlo import (
     run_cell,
     write_coverage_csv,
 )
+from concate.stats import norm_ppf
 
 BIG = 200_000
+#: Kernel vs scalar reference.  An endpoint is compared relative to the
+#: larger of its size and the support width: near-zero endpoints come from
+#: cancelling O(width) terms, where summation order moves the last ulp.
+#: Worst case measured over the 21-cell table at 2,000 replications: 1e-15.
+REL_TOL = 1e-12
+
+
+def oracle_draws(spec, n_reps, base_seed):
+    """(replication data, redraws before it) from a straight attempt loop."""
+    for rep in range(n_reps):
+        for attempt in range(1000):
+            rng = np.random.default_rng(
+                replication_seed(base_seed, spec.design, spec.n_units, spec.periods, rep, attempt)
+            )
+            data = generate(spec, rng)
+            if 2 <= int(data.d.sum()) <= data.d.size - 2:
+                break
+        yield data, attempt
+
+
+def oracle_bands(data, alpha, design):
+    """Scalar reference for one replication: arm split, plug-in region,
+    gradient-covariance quadratic forms, then the hybrid and banded
+    intervals, one object at a time."""
+    y0 = data.y0.ravel()
+    stats = split_arms(data.y.ravel(), data.d.ravel())
+    if design == "G":
+        a, b = -5.0, 5.0
+    elif design == "F":
+        a, b = 0.0, float(y0.max())
+    else:
+        a, b = float(y0.min()), float(y0.max())
+    support = known_support(a, b)
+    region = manski_region(stats, support)
+    cov = sampling_covariance(stats)
+    grad_lower, grad_upper = bound_gradients(stats, support)
+    se_lower = math.sqrt(float(grad_lower @ cov @ grad_lower))
+    se_upper = math.sqrt(float(grad_upper @ cov @ grad_upper))
+    z_banded = norm_ppf(1.0 - alpha / 2.0)
+    out = {
+        "plugin": (region.lower, region.upper),
+        "banded": (region.lower - z_banded * se_lower, region.upper + z_banded * se_upper),
+        "support": (a, b),
+    }
+    if design == "G":
+        out.update(hybrid=(region.lower, region.upper), epsilon=0.0, se=(0.0, 0.0))
+        return out
+    log_c = math.log(1.0 / alpha) if design == "F" else math.log(2.0 / alpha)
+    epsilon = math.sqrt(log_c / (2.0 * y0.size))
+    scale = math.hypot(se_lower, se_upper)
+    z = norm_ppf(1.0 - alpha / 4.0)
+    out.update(
+        hybrid=(region.lower - epsilon - z * scale, region.upper + epsilon + z * scale),
+        epsilon=epsilon,
+        se=(se_lower, se_upper),
+    )
+    return out
+
+
+def oracle_cell(spec, n_reps, alpha=0.05, base_seed=0, manski_variant="plugin"):
+    """CellCoverage from one oracle_bands call per replication."""
+    hits_hybrid = hits_manski = redraws = 0
+    for data, attempt in oracle_draws(spec, n_reps, base_seed):
+        redraws += attempt
+        bands = oracle_bands(data, alpha, spec.design)
+        lo, hi = bands[manski_variant]
+        hits_manski += lo <= spec.delta <= hi
+        lo, hi = bands["hybrid"]
+        hits_hybrid += lo <= spec.delta <= hi
+    return CellCoverage(
+        design=spec.design,
+        n_units=spec.n_units,
+        periods=spec.periods,
+        n_total=spec.n_total,
+        coverage_hybrid_pct=100.0 * hits_hybrid / n_reps,
+        coverage_manski_pct=100.0 * hits_manski / n_reps,
+        n_reps=n_reps,
+        alpha=alpha,
+        base_seed=base_seed,
+        redraws=redraws,
+        manski_variant=manski_variant,
+    )
+
+
+def close(got, want, scale=0.0):
+    return abs(got - want) <= REL_TOL * max(abs(want), scale)
 
 
 def big_draw(design, periods=1, seed=9):
@@ -192,6 +286,104 @@ class TestRunCell:
             run_cell(spec, n_reps=0)
         with pytest.raises(ValidationError):
             run_cell(spec, n_reps=10, manski_variant="trimmed")
+
+
+class TestBatchedStatistics:
+    """The block kernel against the per-replication scalar reference."""
+
+    @pytest.mark.parametrize("manski_variant", MANSKI_VARIANTS)
+    @pytest.mark.parametrize("periods", [1, 2, 5])
+    @pytest.mark.parametrize("design", MC_DESIGNS)
+    def test_kernel_matches_the_scalar_reference(self, design, periods, manski_variant):
+        spec = DgpSpec(design=design, n_units=50, periods=periods)
+        draws = [data for data, _ in oracle_draws(spec, 30, base_seed=17)]
+        y0 = np.stack([data.y0.ravel() for data in draws])
+        d = np.stack([data.d.ravel() for data in draws])
+        block = _replication_intervals(y0, y0 + spec.delta * d, d, design, 0.05)
+        manski = {
+            "plugin": (block.manski_lower, block.manski_upper),
+            "banded": (block.banded_lower, block.banded_upper),
+        }[manski_variant]
+        for row, data in enumerate(draws):
+            want = oracle_bands(data, 0.05, design)
+            one = replication_bands(data.y0, data.y, data.d, 0.05, design)
+            width = want["support"][1] - want["support"][0]
+            assert close(manski[0][row], want[manski_variant][0], width)
+            assert close(manski[1][row], want[manski_variant][1], width)
+            assert close(block.hybrid_lower[row], want["hybrid"][0], width)
+            assert close(block.hybrid_upper[row], want["hybrid"][1], width)
+            assert close(block.se[row], want["se"][0]) and close(block.se[row], want["se"][1])
+            assert close(block.epsilon, want["epsilon"])
+            assert (block.support_lower[row], block.support_upper[row]) == want["support"]
+            assert close(one.manski_lower, want["plugin"][0], width)
+            assert close(one.manski_upper, want["plugin"][1], width)
+            assert close(one.hybrid_lower, want["hybrid"][0], width)
+            assert close(one.hybrid_upper, want["hybrid"][1], width)
+            assert close(one.se_lower, want["se"][0]) and close(one.se_upper, want["se"][1])
+            assert close(one.epsilon, want["epsilon"])
+        if design == "G":
+            assert np.array_equal(block.hybrid_lower, block.manski_lower)
+            assert np.array_equal(block.hybrid_upper, block.manski_upper)
+        assert run_cell(spec, 30, base_seed=17, manski_variant=manski_variant) == oracle_cell(
+            spec, 30, base_seed=17, manski_variant=manski_variant
+        )
+
+    @pytest.mark.parametrize("design", ["A", "F", "G"])
+    def test_rows_do_not_depend_on_the_block(self, design):
+        spec = DgpSpec(design=design, n_units=7, periods=5)
+        draws = [data for data, _ in oracle_draws(spec, 40, base_seed=2)]
+        y0 = np.stack([data.y0.ravel() for data in draws])
+        d = np.stack([data.d.ravel() for data in draws])
+        block = _replication_intervals(y0, y0 + spec.delta * d, d, design, 0.05)
+        for row in range(len(draws)):
+            one = _replication_intervals(
+                y0[row:row + 1], y0[row:row + 1] + spec.delta * d[row:row + 1],
+                d[row:row + 1], design, 0.05,
+            )
+            for name, value in one._asdict().items():
+                whole = getattr(block, name)
+                assert np.array_equal(whole[row:row + 1] if np.ndim(whole) else whole, value)
+
+    def test_single_replication(self):
+        spec = DgpSpec(design="A", n_units=50)
+        assert run_cell(spec, 1, base_seed=4) == oracle_cell(spec, 1, base_seed=4)
+
+    def test_replications_spill_past_two_blocks(self):
+        spec = DgpSpec(design="E", n_units=50)
+        n_reps = 2 * (BLOCK_ELEMENTS // spec.n_total) + 1
+        for variant in MANSKI_VARIANTS:
+            assert run_cell(spec, n_reps, base_seed=4, manski_variant=variant) == oracle_cell(
+                spec, n_reps, base_seed=4, manski_variant=variant
+            )
+
+    def test_panel_larger_than_a_block_scores_one_row_at_a_time(self):
+        spec = DgpSpec(design="B", n_units=BLOCK_ELEMENTS + 1)
+        assert BLOCK_ELEMENTS // spec.n_total == 0
+        assert run_cell(spec, 3, base_seed=4) == oracle_cell(spec, 3, base_seed=4)
+
+    def test_redraw_heavy_cell(self):
+        spec = DgpSpec(design="A", n_units=4)
+        cell = run_cell(spec, 60, base_seed=4, manski_variant="banded")
+        assert cell.redraws > 0
+        assert cell == oracle_cell(spec, 60, base_seed=4, manski_variant="banded")
+
+    def test_pooled_blocks_match_the_reference(self):
+        n_reps = BLOCK_ELEMENTS // 50 + 1
+        kwargs = dict(designs=["C", "G"], periods_list=[1], n_reps=n_reps, base_seed=8)
+        serial = coverage_table(workers=1, **kwargs)
+        assert coverage_table(workers=2, **kwargs) == serial
+        assert serial == [
+            oracle_cell(DgpSpec(design=design, n_units=50), n_reps, base_seed=8)
+            for design in ("C", "G")
+        ]
+
+    def test_no_runtime_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for design in MC_DESIGNS:
+                for variant in MANSKI_VARIANTS:
+                    run_cell(DgpSpec(design=design, n_units=4, periods=2), 20,
+                             base_seed=6, manski_variant=variant)
 
 
 class TestCoverageTable:
