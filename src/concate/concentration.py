@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigurationError, DataError, DegenerateArmError, ValidationError
 from .estimators import GroupStats
 from .manski import SupportBounds, delta_method_band, known_support
@@ -375,7 +373,8 @@ def _require_arms(stats: GroupStats, min_per_arm: int) -> None:
         )
 
 
-def _check_truncation_consistency(stats: GroupStats, trunc: Truncation) -> None:
+def check_truncation_consistency(stats: GroupStats, trunc: Truncation) -> None:
+    """Raise DataError when a declared support limit cuts off observed outcomes."""
     observed_min = min(stats.min_treated, stats.min_control)
     observed_max = max(stats.max_treated, stats.max_control)
     if trunc.kind in ("lower", "both") and trunc.lower > observed_min:
@@ -407,22 +406,28 @@ def _delta_method_reduction(
     )
 
 
+def _max_deviation(mean: float, lo: float, hi: float) -> float:
+    """max |y - mean| over an arm with extrema lo, hi.  fl(y - m) is monotone in y and
+    fl(m - y) = -fl(y - m), so this is a pass over the arm bit for bit, NaN included."""
+    return math.nan if math.isnan(mean - lo) else max(hi - mean, mean - lo)
+
+
 def _mean_bounds(stats: GroupStats, config: PaddingConfig) -> tuple[float, float]:
-    m1 = config.mean_bound_treated
-    m0 = config.mean_bound_control
+    m1, m0 = config.mean_bound_treated, config.mean_bound_control
     if m1 is None:
-        m1 = float(np.max(np.abs(stats.treated_serial - stats.mean_treated)))
+        m1 = _max_deviation(stats.mean_treated, stats.min_treated, stats.max_treated)
     if m0 is None:
-        m0 = float(np.max(np.abs(stats.control_serial - stats.mean_control)))
+        m0 = _max_deviation(stats.mean_control, stats.min_control, stats.max_control)
     return m1, m0
 
 
-def _padded_supports(
+def padded_support(
     stats: GroupStats,
     trunc: Truncation,
     eps_treated: float,
     eps_control: float,
 ) -> SupportBounds:
+    """Observed extrema widened by eps per arm; a known lower limit is used as is."""
     if trunc.kind == "lower":
         lower_treated, lower_control = trunc.lower, trunc.lower
     else:
@@ -448,7 +453,7 @@ def iid_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
     """
     _require_arms(stats, 1)
     trunc = config.truncation
-    _check_truncation_consistency(stats, trunc)
+    check_truncation_consistency(stats, trunc)
     if trunc.kind == "both":
         return _delta_method_reduction(stats, config, regime="iid")
     sides = "one" if trunc.kind == "lower" else "two"
@@ -464,7 +469,7 @@ def iid_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
         t_mean_treated=bernstein_tmu_iid(config.alpha_u, stats.n_treated, m1, config.c_abs),
         t_mean_control=bernstein_tmu_iid(config.alpha_u, stats.n_control, m0, config.c_abs),
     )
-    support = _padded_supports(stats, trunc, eps1, eps0)
+    support = padded_support(stats, trunc, eps1, eps0)
     lower, upper = padded_interval(
         stats.mean_treated,
         stats.mean_control,
@@ -496,7 +501,7 @@ def mixing_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
     """
     _require_arms(stats, 2)
     trunc = config.truncation
-    _check_truncation_consistency(stats, trunc)
+    check_truncation_consistency(stats, trunc)
     if trunc.kind == "both":
         return _delta_method_reduction(stats, config, regime="mixing")
     t_share_1 = hoeffding_tp(config.alpha_u, stats.n_treated, c_alpha=config.c_alpha)
@@ -526,7 +531,7 @@ def mixing_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
             config.alpha_u, stats.n_control, config.bernstein, v0
         ),
     )
-    support = _padded_supports(stats, trunc, eps1, eps0)
+    support = padded_support(stats, trunc, eps1, eps0)
     lower, upper = padded_interval(
         stats.mean_treated,
         stats.mean_control,

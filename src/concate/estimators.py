@@ -18,12 +18,12 @@ VARIANCE_MODES = ("welch", "contrast")
 class GroupStats:
     """Sufficient statistics for both treatment arms of one threshold split.
 
-    ``treated_sorted`` / ``control_sorted`` hold the arm outcomes in
-    ascending order (order statistics for quantile supports).  The
-    ``*_serial`` twins keep the original panel order, which matters only
-    for serial-dependence-aware variance estimates.  Variances use the
-    n-1 denominator and are NaN below two observations; extrema are NaN
-    for an empty arm.
+    ``treated_serial`` / ``control_serial`` are the arms themselves, in
+    panel order (serial-dependence-aware variances read that order).
+    ``treated_sorted`` / ``control_sorted`` are their order statistics, sorted
+    on first access and kept in the instance dict without a lock, so threads
+    sort their own looks in parallel.  Variances use the n-1 denominator and
+    are NaN below two observations; extrema are NaN for an empty arm.
     """
 
     n_treated: int
@@ -38,10 +38,20 @@ class GroupStats:
     max_treated: float
     min_control: float
     max_control: float
-    treated_sorted: np.ndarray
-    control_sorted: np.ndarray
     treated_serial: np.ndarray
     control_serial: np.ndarray
+
+    @property
+    def treated_sorted(self) -> np.ndarray:
+        if (cached := self.__dict__.get("_treated_sorted")) is None:
+            cached = self.__dict__["_treated_sorted"] = np.sort(self.treated_serial)
+        return cached
+
+    @property
+    def control_sorted(self) -> np.ndarray:
+        if (cached := self.__dict__.get("_control_sorted")) is None:
+            cached = self.__dict__["_control_sorted"] = np.sort(self.control_serial)
+        return cached
 
     @property
     def n(self) -> int:
@@ -101,8 +111,6 @@ def split_arms(outcome: np.ndarray, treated: np.ndarray) -> GroupStats:
         max_treated=max1,
         min_control=min0,
         max_control=max0,
-        treated_sorted=np.sort(y1),
-        control_sorted=np.sort(y0),
         treated_serial=y1,
         control_serial=y0,
     )

@@ -16,14 +16,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .concentration import Paddings, Truncation, dkw_epsilon
-from .errors import DataError, DegenerateArmError, ValidationError
+from .concentration import (
+    Paddings,
+    Truncation,
+    check_truncation_consistency,
+    dkw_epsilon,
+    padded_support,
+)
+from .errors import DegenerateArmError, ValidationError
 from .estimators import GroupStats
 from .manski import (
     IdentificationRegion,
     SupportBounds,
     bound_gradients,
     delta_method_band,
+    endpoint_se,
     known_support,
     manski_region,
     sampling_covariance,
@@ -72,19 +79,6 @@ class ReplicationBands:
     se_upper: float
 
 
-def _check_truncation_consistency(stats: GroupStats, trunc: Truncation) -> None:
-    observed_min = min(stats.min_treated, stats.min_control)
-    observed_max = max(stats.max_treated, stats.max_control)
-    if trunc.kind in ("lower", "both") and trunc.lower > observed_min:
-        raise DataError(
-            f"known lower limit {trunc.lower} exceeds the observed minimum {observed_min}"
-        )
-    if trunc.kind == "both" and trunc.upper < observed_max:
-        raise DataError(
-            f"known upper limit {trunc.upper} is below the observed maximum {observed_max}"
-        )
-
-
 def hybrid_band(
     stats: GroupStats,
     alpha_u: float,
@@ -110,7 +104,7 @@ def hybrid_band(
         raise DegenerateArmError("hybrid band needs both arms non-empty")
     if min(stats.n_treated, stats.n_control) < 2:
         raise DegenerateArmError("hybrid band needs at least 2 observations per arm")
-    _check_truncation_consistency(stats, trunc)
+    check_truncation_consistency(stats, trunc)
     if trunc.kind == "both":
         support = known_support(trunc.lower, trunc.upper)
         band = delta_method_band(stats, support, alpha_u)
@@ -130,23 +124,11 @@ def hybrid_band(
     sides = "one" if trunc.kind == "lower" else "two"
     eps1 = dkw_epsilon(alpha_u, stats.n_treated, sides=sides, budget=8.0, c_alpha=c_alpha)
     eps0 = dkw_epsilon(alpha_u, stats.n_control, sides=sides, budget=8.0, c_alpha=c_alpha)
-    if trunc.kind == "lower":
-        lower_treated, lower_control = trunc.lower, trunc.lower
-    else:
-        lower_treated = stats.min_treated - eps1
-        lower_control = stats.min_control - eps0
-    support = SupportBounds(
-        lower_treated=lower_treated,
-        upper_treated=stats.max_treated + eps1,
-        lower_control=lower_control,
-        upper_control=stats.max_control + eps0,
-        source="padded" if trunc.kind == "none" else "padded-lower-known",
-    )
+    support = padded_support(stats, trunc, eps1, eps0)
     region = manski_region(stats, support)
     cov = sampling_covariance(stats)
     grad_lower, grad_upper = bound_gradients(stats, support)
-    se_lower = math.sqrt(float(grad_lower @ cov @ grad_lower))
-    se_upper = math.sqrt(float(grad_upper @ cov @ grad_upper))
+    se_lower, se_upper = endpoint_se(cov, grad_lower), endpoint_se(cov, grad_upper)
     z = norm_ppf(1.0 - alpha_u / 4.0)
     return HybridBand(
         lower=region.lower - z * se_lower,

@@ -180,6 +180,12 @@ def sampling_covariance(stats: GroupStats) -> np.ndarray:
     return cov
 
 
+def endpoint_se(cov: np.ndarray, gradient: np.ndarray) -> float:
+    """Delta-method SE sqrt(g' cov g) of one interval endpoint.  A constant
+    outcome's zero quadratic form can round below zero; that reads as 0."""
+    return math.sqrt(max(float(gradient @ cov @ gradient), 0.0))
+
+
 def delta_method_band(
     stats: GroupStats, support: SupportBounds, alpha_u: float
 ) -> DeltaMethodBand:
@@ -193,8 +199,7 @@ def delta_method_band(
     region = manski_region(stats, support)
     cov = sampling_covariance(stats)
     grad_lower, grad_upper = bound_gradients(stats, support)
-    se_lower = math.sqrt(float(grad_lower @ cov @ grad_lower))
-    se_upper = math.sqrt(float(grad_upper @ cov @ grad_upper))
+    se_lower, se_upper = endpoint_se(cov, grad_lower), endpoint_se(cov, grad_upper)
     z = norm_ppf(1.0 - alpha_u / 2.0)
     return DeltaMethodBand(
         region=region,

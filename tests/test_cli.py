@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import concate
-from concate.bands import compute_band
+from concate.bands import METHODS, compute_band
 from concate.cli import RNG_DESCRIPTION, main
-from concate.datasets import make_tipping_demo_panel, write_panel_csv
+from concate.datasets import make_null_panel, make_tipping_demo_panel, write_panel_csv
 from concate.estimators import group_stats
 from concate.panel import assign_treatment, load_csv, rolling_correlation, summary_stats
 
@@ -310,6 +310,90 @@ class TestScan:
         for spec in ("1:99:nan", "nan:99:1", "1:inf:1", "1:99:1e-9"):
             assert main(["scan", path, "--grid", spec]) == 2
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("method", "csv_sha256", "json_sha256", "svg_sha256"),
+        [
+            (
+                "naive",
+                "b94e0fb4d12f22919a8684034e308bc6d5a689a85d9192613d9239c941391a60",
+                "56f9259e6a7eab2d4266cbade7f576a4e07db7b8fcc9e5b983ccb9c7aa374c3c",
+                "632e628c837d4cde41f2546deb64d4f10b6e047fbc0d9a1be092c710ff155553",
+            ),
+            (
+                "manski-max",
+                "b288bed758d9c718803235f1d5dd077dd2688a579abb71c355ccb6d94f881e36",
+                "74387017c28f3f2e595fcf386e0c0a05f77a910e72688b7d1e150381882a3588",
+                "5911d4868aec8a7f90e3a59c429bb5b9727ae7138661c467581839d035d6e389",
+            ),
+            (
+                "manski-q05",
+                "fa2905609601db0610ad8cdfde3b2ed372d746277b33879f65e5ad52d2da0756",
+                "136d1b3514e44d138171fc70567d4e35c70934394a70d599e4797344306bc901",
+                "17dfbe3d12e4c1ccf834384c0a08a4fc847675552c816b831c5adbe8ba5563a9",
+            ),
+            (
+                "manski-q10",
+                "7507efd0bb7419f340460a0da26d178d09b76d641c80c097c826e85558f47bf6",
+                "d49cabb4d49ae95c183cab346dce95c22b1264913cb33c579f7e994b3a2e38a8",
+                "bad9f2f2a289a2e6dc1153cbd707d2c9d226675c615059f8f095a3fffc87bf37",
+            ),
+            (
+                "iid",
+                "ff4bc0862173f40b1270d21ddb32f96988538203ada6e09c3c8c4d939a7bba82",
+                "e7bc63ddb47e40cfcd09b05226508ff35e303146b123fdb9d97454b6a400ac00",
+                "03feca4391c4935e1bda70d31c70c39f2693ef1615b28b5b16be7d27b9168231",
+            ),
+            (
+                "mixing",
+                "1fecdc4022375170dc7be72ef663252d26182031ed49763b9feda904f44b16d7",
+                "67c87e5f2f8d66bde5b978ff569cb9a804d7d533b805268e4b9ea9fa4a5fda3b",
+                "afa59cba65de5fc5a9c834d161c2a638dcb707543452042331ef16383418ab9f",
+            ),
+            (
+                "hybrid",
+                "0693cd2b84a6ade68aaf4300d42f137ba1e8fdcb825a23bba6dd6721f2b339bd",
+                "afe18fdf6aa88d7a027aa041cce850e87caaf9fc6488739c8ea980abf9ba73f0",
+                "a1cf495245d15f0084c4ee9e7659955430402aaa0304273e5efef00040e517fe",
+            ),
+        ],
+    )
+    def test_outputs_are_pinned(self, tmp_path, capsys, method, csv_sha256, json_sha256,
+                                svg_sha256):
+        """Digests recorded before the arm split sorted lazily and took the mean
+        bound from the extrema; every method must reproduce all three files byte for byte."""
+        out, report, chart = tmp_path / "scan.csv", tmp_path / "scan.json", tmp_path / "scan.svg"
+        rc = main([
+            "scan", demo_csv(tmp_path), "--method", method,
+            "--out", str(out), "--json", str(report), "--svg", str(chart),
+        ])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
+        assert hashlib.sha256(chart.read_bytes()).hexdigest() == svg_sha256
+        capsys.readouterr()
+
+    def test_mixing_scan_with_row_by_row_signals_is_pinned(self, tmp_path, capsys):
+        """Each row draws its own signal, so every look splits on a mask of
+        short runs; digest recorded with the same pins as above."""
+        path = tmp_path / "null.csv"
+        write_panel_csv(make_null_panel(500, 4, seed=11), path)
+        report = tmp_path / "scan.json"
+        assert main(["scan", str(path), "--method", "mixing", "--json", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "c1e4b0e000b4f9514871534864cafa9bb87c49e3c15d95b374618ba436802868"
+        )
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("level", ["1000000.0", "-0.3", "-7.3"])
+    def test_constant_outcome_never_crashes_a_method(self, tmp_path, capsys, level):
+        """A constant outcome has a zero endpoint variance that can round
+        below zero; the hybrid band used to fail on its square root."""
+        rows = [f"u{i},1,{level},{(i * 37) % 100 + 0.5}" for i in range(200)]
+        path = write(tmp_path, "unit_id,time,outcome,signal\n" + "\n".join(rows) + "\n")
+        for method in METHODS:
+            assert main(["scan", path, "--method", method, "--grid", "5:95:1"]) in (0, 4), method
+        capsys.readouterr()
 
     def test_min_group_flag(self, tmp_path):
         out = tmp_path / "scan.json"

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from concate.bands import compute_band
+from concate.datasets import make_tipping_demo_panel
 from concate.errors import DegenerateArmError, ValidationError
 from concate.estimators import (
     VARIANCE_MODES,
@@ -45,6 +47,8 @@ class TestSplitArms:
         s = stats_from([3.0, 1.0, 2.0], [5.0, 4.0])
         assert list(s.treated_sorted) == [1.0, 2.0, 3.0]
         assert list(s.treated_serial) == [3.0, 1.0, 2.0]
+        assert list(s.control_sorted) == [4.0, 5.0]
+        assert list(s.control_serial) == [5.0, 4.0]
 
     def test_single_observation_arm_has_nan_variance(self):
         s = stats_from([5.0], [1.0, 2.0])
@@ -90,6 +94,37 @@ class TestSplitArms:
         manual = split_arms(outcome, signal >= 50.0)
         assert s.mean_treated == manual.mean_treated
         assert s.n_treated == manual.n_treated
+
+
+class TestLazyOrderStatistics:
+    @staticmethod
+    def demo_stats():
+        panel = make_tipping_demo_panel()
+        return group_stats(panel, assign_treatment(panel, 30.0))
+
+    @pytest.mark.parametrize("method", ["naive", "manski-max", "iid", "mixing", "hybrid"])
+    def test_methods_without_quantiles_never_sort(self, method):
+        stats = self.demo_stats()
+        compute_band(stats, method, 0.01)
+        assert "_treated_sorted" not in vars(stats)
+        assert "_control_sorted" not in vars(stats)
+
+    def test_quantile_methods_sort_each_arm_once(self, monkeypatch):
+        stats = self.demo_stats()
+        sorts = []
+        original = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            sorts.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        compute_band(stats, "manski-q05", 0.01)
+        compute_band(stats, "manski-q10", 0.01)
+        assert len(sorts) == 2
+        assert {id(a) for a in sorts} == {id(stats.treated_serial), id(stats.control_serial)}
+        assert stats.treated_sorted is stats.treated_sorted
+        assert stats.control_sorted is stats.control_sorted
 
 
 class TestEmpiricalQuantile:

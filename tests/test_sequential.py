@@ -272,6 +272,12 @@ class TestScan:
         assert serial.rows == threaded.rows
         assert serial.tipping_tau == threaded.tipping_tau
 
+    @pytest.mark.parametrize("method", ["manski-q05", "mixing"])
+    def test_two_threads_match_serial_for_lazy_and_serial_order_methods(self, method):
+        panel = make_null_panel(500, 4, seed=11)
+        grid = ThresholdGrid.default()
+        assert scan(panel, grid, method, workers=2).rows == scan(panel, grid, method).rows
+
     def test_threads_are_clamped_to_looks_and_cpus(self, monkeypatch):
         pools = []
 
