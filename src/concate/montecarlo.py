@@ -14,8 +14,11 @@ additive effect on the treated:
 
 Treatment is Bernoulli(0.3) except in C and D, where the assignment
 probability is a logistic function of the baseline outcome plus noise.
-Every replication draws its generator from (base_seed, design, n,
-periods, replication, attempt) and draws on that stream alone.  The
+Every replication draws on its own PCG64 stream, seeded exactly as by
+SeedSequence(entropy=base_seed, spawn_key=(design, n, periods,
+replication, attempt)).  Those seeds are derived a block of replications
+at a time in one vectorised pass (``seedseq.SpawnKeys``), and each
+block's first seed is checked against SeedSequence itself.  The
 statistics are scored per block of accepted replications, as masked
 reductions over a (B, N) array.  No replication's numbers depend on its
 neighbours, so outputs are byte-identical for any block size and any
@@ -49,6 +52,11 @@ STUDENT_T_DF = 3
 UNIFORM_LIMITS = (-5.0, 5.0)
 #: Elements per block of replications scored together (B = this // N rows).
 BLOCK_ELEMENTS = 16_384
+#: Most replications one cell may run.
+MAX_REPS = 1_000_000
+#: Fewest observations a cell needs: run_cell accepts a draw only when
+#: each arm holds at least 2.
+MIN_OBSERVATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,16 @@ def replication_seed(
     )
 
 
+def _replication_seeds(base_seed: int, spec: DgpSpec):
+    """The cell's seeds: row i of ``.states(reps, attempt)`` is
+    ``replication_seed(base_seed, <spec>, reps[i], attempt)
+    .generate_state(4, np.uint64)``, for ``reps`` a uint32 array (or one
+    int, giving one row)."""
+    from .seedseq import SpawnKeys
+
+    return SpawnKeys(base_seed, (ord(spec.design), spec.n_units, spec.periods))
+
+
 def _ar1_panel(rng: np.random.Generator, n: int, periods: int) -> np.ndarray:
     # recursion starts from zero: the first draw is pure innovation
     y0 = np.empty((n, periods))
@@ -178,15 +196,29 @@ def run_cell(
     in either arm is redrawn from the next attempt stream; redraws are
     counted and reported, never silently absorbed.  Accepted draws are
     copied into (B, N) buffers and scored a block at a time, with
-    B = max(1, BLOCK_ELEMENTS // N).
+    B = max(1, BLOCK_ELEMENTS // N).  The block's generator seeds are
+    derived together, and the first is checked against
+    ``replication_seed``: a mismatch raises ConfigurationError rather
+    than silently changing the streams.
     """
-    if n_reps < 1:
-        raise ValidationError(f"n_reps must be positive, got {n_reps}")
+    from .seedseq import FixedState
+
+    if not 1 <= n_reps <= MAX_REPS:
+        raise ValidationError(f"n_reps must lie in [1, {MAX_REPS:,}], got {n_reps}")
+    if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
+        raise ValidationError(f"base_seed must be a non-negative integer, got {base_seed!r}")
     if manski_variant not in MANSKI_VARIANTS:
         raise ValidationError(
             f"manski_variant must be one of {MANSKI_VARIANTS}, got {manski_variant!r}"
         )
     n_total = spec.n_total
+    if n_total < MIN_OBSERVATIONS:
+        raise ValidationError(
+            f"a cell needs at least {MIN_OBSERVATIONS} observations (2 per arm), "
+            f"got n_units * periods = {n_total}"
+        )
+    entropy = int(base_seed)
+    seeds = _replication_seeds(entropy, spec)
     block = max(1, BLOCK_ELEMENTS // n_total)
     y0_buf = np.empty((block, n_total))
     d_buf = np.empty((block, n_total), dtype=bool)
@@ -195,13 +227,19 @@ def run_cell(
     redraws = 0
     for first in range(0, n_reps, block):
         rows = min(block, n_reps - first)
+        states = seeds.states(np.arange(first, first + rows, dtype=np.uint32), 0)
+        oracle = replication_seed(entropy, spec.design, spec.n_units, spec.periods, first)
+        if not np.array_equal(states[0], oracle.generate_state(4, np.uint64)):
+            raise ConfigurationError(
+                f"replication {first}: the vectorised seed differs from numpy's SeedSequence"
+            )
         for row in range(rows):
             rep = first + row
+            state = states[row]
             for attempt in range(1000):
-                rng = np.random.default_rng(
-                    replication_seed(base_seed, spec.design, spec.n_units, spec.periods, rep, attempt)
-                )
-                data = generate(spec, rng)
+                if attempt:
+                    state = seeds.states(rep, attempt)[0]
+                data = generate(spec, np.random.Generator(np.random.PCG64(FixedState(state))))
                 n1 = int(data.d.sum())
                 if 2 <= n1 <= data.d.size - 2:
                     break

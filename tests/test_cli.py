@@ -480,6 +480,24 @@ class TestSimulate:
                      "--alpha", "1.5", "--out", out]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "-1"], "base_seed must be a non-negative integer"),
+            (["--n", "3"], "at least 4 observations"),
+            (["--n", "1"], "at least 4 observations"),
+            (["--reps", "1000001"], "n_reps must lie in [1, 1,000,000]"),
+        ],
+    )
+    def test_runs_that_cannot_start_exit_2_before_drawing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "cov.csv"
+        args = ["simulate", "--dgp", "A", "--T", "1", "--reps", "5", "--out", str(out)]
+        assert main(args + argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and "consecutive draws" not in err
+        assert not out.exists()
+
 
 class TestParser:
     def test_version_flag(self, capsys):
@@ -502,9 +520,11 @@ class TestParser:
 
 
 def test_importing_the_cli_loads_no_scipy():
+    """Nor numpy.random: only the coverage experiment builds generators."""
     code = (
         "import sys, concate.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.startswith('numpy.random')))"
     )
     src = str(Path(concate.__file__).resolve().parents[1])
     proc = subprocess.run(

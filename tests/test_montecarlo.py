@@ -8,21 +8,24 @@ import pytest
 from scipy import stats as sps
 
 from concate import montecarlo
-from concate.errors import ValidationError
+from concate.errors import ConfigurationError, ValidationError
 from concate.estimators import split_arms
 from concate.hybrid import MC_DESIGNS, _replication_intervals, replication_bands
 from concate.manski import bound_gradients, known_support, manski_region, sampling_covariance
 from concate.montecarlo import (
     BLOCK_ELEMENTS,
     MANSKI_VARIANTS,
+    MAX_REPS,
     CellCoverage,
     DgpSpec,
+    _replication_seeds,
     coverage_table,
     generate,
     replication_seed,
     run_cell,
     write_coverage_csv,
 )
+from concate.seedseq import FixedState, SpawnKeys
 from concate.stats import norm_ppf
 
 BIG = 200_000
@@ -156,6 +159,43 @@ class TestReplicationSeed:
             other = np.random.default_rng(replication_seed(*seed_args)).random(4)
             assert not np.array_equal(base, other)
 
+    def test_a_block_state_draws_the_seed_sequence_stream(self):
+        spec = DgpSpec(design="D", n_units=50, periods=2)
+        for base_seed, rep, attempt in ((20240601, 0, 0), (7, 41, 3), (2**130 + 5, 999_999, 999)):
+            state = _replication_seeds(base_seed, spec).states(rep, attempt)[0]
+            got = np.random.Generator(np.random.PCG64(FixedState(state))).random(100)
+            want = np.random.default_rng(
+                replication_seed(base_seed, "D", 50, 2, rep, attempt)
+            ).random(100)
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            FixedState(state).generate_state(4)
+        for entropy, prefix in ((-1, (65,)), (7, (65, -1))):
+            with pytest.raises(ValueError, match="non-negative"):
+                SpawnKeys(entropy, prefix)
+        with pytest.raises(ValueError, match="non-negative"):
+            SpawnKeys(7, (65,)).states(-1)
+
+    def test_every_block_checks_its_first_state(self, monkeypatch):
+        spec = DgpSpec(design="A", n_units=50)
+        block = BLOCK_ELEMENTS // spec.n_total
+        derive = montecarlo._replication_seeds
+
+        class SecondBlockCorrupted:
+            def __init__(self, *args):
+                self.seeds = derive(*args)
+
+            def states(self, reps, attempt):
+                states = self.seeds.states(reps, attempt)
+                if np.ndim(reps) and reps[0] == block:
+                    states[0, 0] ^= 1
+                return states
+
+        monkeypatch.setattr(montecarlo, "_replication_seeds", SecondBlockCorrupted)
+        assert run_cell(spec, n_reps=block, base_seed=3) == oracle_cell(spec, block, base_seed=3)
+        with pytest.raises(ConfigurationError, match=f"replication {block}:.*SeedSequence"):
+            run_cell(spec, n_reps=block + 1, base_seed=3)
+
     def test_draw_order_is_frozen(self):
         """Worker-independence rests on a stable draw order per stream."""
         rng = np.random.default_rng(replication_seed(0, "A", 3, 2, 0, 0))
@@ -280,12 +320,32 @@ class TestRunCell:
         assert banded.coverage_hybrid_pct == plugin.coverage_hybrid_pct
         assert banded.manski_variant == "banded"
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         spec = DgpSpec(design="A", n_units=50)
         with pytest.raises(ValidationError):
             run_cell(spec, n_reps=0)
         with pytest.raises(ValidationError):
             run_cell(spec, n_reps=10, manski_variant="trimmed")
+        for seed in (-1, 1.5, "7"):
+            with pytest.raises(ValidationError, match="base_seed"):
+                run_cell(spec, n_reps=10, base_seed=seed)
+        monkeypatch.setattr(montecarlo, "generate", None)
+        with pytest.raises(ValidationError, match="1,000,000"):
+            run_cell(spec, n_reps=MAX_REPS + 1)
+
+    @pytest.mark.parametrize("n_units, periods", [(1, 1), (3, 1), (1, 3), (2, 1)])
+    def test_cells_too_small_for_two_per_arm_are_rejected_up_front(
+        self, monkeypatch, n_units, periods
+    ):
+        spec = DgpSpec(design="A", n_units=n_units, periods=periods)
+        generate(spec, np.random.default_rng(0))
+        monkeypatch.setattr(montecarlo, "generate", None)
+        with pytest.raises(ValidationError, match="at least 4 observations"):
+            run_cell(spec, n_reps=5)
+
+    def test_four_observations_are_enough(self):
+        cell = run_cell(DgpSpec(design="A", n_units=2, periods=2), n_reps=5, base_seed=1)
+        assert cell.n_total == 4 and cell.redraws > 0
 
 
 class TestBatchedStatistics:
@@ -378,12 +438,14 @@ class TestBatchedStatistics:
         ]
 
     def test_no_runtime_warnings(self):
+        # the second seed has more entropy words than the seed pool holds
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for design in MC_DESIGNS:
-                for variant in MANSKI_VARIANTS:
-                    run_cell(DgpSpec(design=design, n_units=4, periods=2), 20,
-                             base_seed=6, manski_variant=variant)
+            for base_seed in (6, 2**130 + 6):
+                for design in MC_DESIGNS:
+                    for variant in MANSKI_VARIANTS:
+                        run_cell(DgpSpec(design=design, n_units=4, periods=2), 20,
+                                 base_seed=base_seed, manski_variant=variant)
 
 
 class TestCoverageTable:

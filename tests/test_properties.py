@@ -1,5 +1,6 @@
-"""Property tests: the arm split, the closed-form mean bound and all seven
-band methods against eager reference computations."""
+"""Property tests: the arm split, the closed-form mean bound, all seven
+band methods and the block-derived replication seeds against eager
+reference computations."""
 
 import math
 
@@ -12,6 +13,8 @@ from concate.bands import METHODS, BandOptions, compute_band
 from concate.concentration import PaddingConfig, _mean_bounds
 from concate.errors import ConcateError
 from concate.estimators import GroupStats, split_arms
+from concate.hybrid import MC_DESIGNS
+from concate.montecarlo import MAX_REPS, DgpSpec, _replication_seeds, replication_seed
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -147,3 +150,27 @@ def test_mean_bound_follows_the_pass_over_a_non_finite_arm(arm):
         want = float(np.max(np.abs(stats.treated_serial - stats.mean_treated)))
     m1, _ = _mean_bounds(stats, PaddingConfig(alpha_u=0.05))
     assert repr(m1) == repr(want)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 200).flatmap(lambda bits: st.integers(0, 2**bits)),
+    st.sampled_from(MC_DESIGNS),
+    st.integers(1, 2**40),
+    st.integers(1, 2**40),
+    st.integers(0, MAX_REPS - 1),
+    st.integers(1, 5),
+    st.integers(0, 999),
+)
+def test_block_states_equal_seed_sequence_row_for_row(
+    base_seed, design, n_units, periods, first, rows, attempt
+):
+    # entropy of 1 to 7 words (more than the pool's 4 changes the mixing
+    # loop); n_units and periods past 2**32 take two words of the spawn key
+    spec = DgpSpec(design=design, n_units=n_units, periods=periods)
+    reps = np.arange(first, first + rows, dtype=np.uint32)
+    states = _replication_seeds(base_seed, spec).states(reps, attempt)
+    assert states.shape == (rows, 4) and states.dtype == np.uint64
+    for row in range(rows):
+        seq = replication_seed(base_seed, design, n_units, periods, first + row, attempt)
+        assert np.array_equal(states[row], seq.generate_state(4, np.uint64))
