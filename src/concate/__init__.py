@@ -13,9 +13,6 @@ reproducible coverage experiment.
 from .bands import BandOptions, BandResult, METHODS, compute_band
 from .concentration import (
     BernsteinConstants,
-    ConcentrationBand,
-    PaddingConfig,
-    Paddings,
     Truncation,
     bernstein_mixing_terms,
     bernstein_term3_root,
@@ -23,8 +20,6 @@ from .concentration import (
     bernstein_tmu_mixing,
     dkw_epsilon,
     hoeffding_tp,
-    iid_band,
-    mixing_band,
     padded_interval,
 )
 from .errors import (
@@ -39,16 +34,13 @@ from .errors import (
 )
 from .estimators import (
     GroupStats,
-    NaiveEstimate,
     empirical_quantile,
     group_stats,
-    naive_estimate,
     split_arms,
 )
-from .hybrid import HybridBand, ReplicationBands, hybrid_band, replication_bands
 from .manski import (
-    DeltaMethodBand,
     IdentificationRegion,
+    Paddings,
     SupportBounds,
     delta_method_band,
     extrema_support,
@@ -62,6 +54,7 @@ from .montecarlo import (
     SimulatedData,
     coverage_table,
     generate,
+    replication_bands,
     replication_seed,
     run_cell,
     write_coverage_csv,
@@ -87,23 +80,17 @@ __all__ = [
     "BernsteinConstants",
     "CellCoverage",
     "ConcateError",
-    "ConcentrationBand",
     "ConfigurationError",
     "DataError",
     "DegenerateArmError",
-    "DeltaMethodBand",
     "DgpSpec",
     "EmptyScanError",
     "GroupStats",
-    "HybridBand",
     "IdentificationRegion",
     "METHODS",
-    "NaiveEstimate",
-    "PaddingConfig",
     "Paddings",
     "PanelDataset",
     "PanelSchema",
-    "ReplicationBands",
     "RowError",
     "ScanResult",
     "SchemaError",
@@ -129,14 +116,10 @@ __all__ = [
     "generate",
     "group_stats",
     "hoeffding_tp",
-    "hybrid_band",
-    "iid_band",
     "known_support",
     "load_csv",
     "long_run_variance",
     "manski_region",
-    "mixing_band",
-    "naive_estimate",
     "norm_ppf",
     "padded_interval",
     "replication_bands",

@@ -1,117 +1,118 @@
-"""Uniform front end over the band constructions.
+"""The seven band methods behind one registry.
 
-Every method takes the same arm statistics and a per-look level alpha_u
-and produces a :class:`BandResult`, so the threshold scan and the CLI can
-treat all seven methods interchangeably.
+Every method takes the same arm statistics, a per-look level alpha_u and
+the run's :class:`BandOptions`, and returns a :class:`BandResult`, so the
+threshold scan and the CLI can treat all seven methods interchangeably.
+:func:`compute_band` checks what the methods share once and then looks the
+method up in :data:`BUILDERS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import replace
+from typing import Callable
+
+import numpy as np
 
 from .concentration import (
-    BernsteinConstants,
-    ConcentrationBand,
-    PaddingConfig,
-    Paddings,
-    Truncation,
-    iid_band,
-    mixing_band,
+    BandOptions,
+    _iid_band,
+    _mixing_band,
+    check_truncation_consistency,
 )
-from .errors import ValidationError
-from .estimators import GroupStats, naive_estimate
-from .hybrid import hybrid_band
+from .errors import DegenerateArmError, ValidationError
+from .estimators import GroupStats
+from .hybrid import _hybrid_band
 from .manski import (
-    SupportBounds,
+    BandResult,
+    Paddings,
     delta_method_band,
     extrema_support,
-    manski_region,
+    known_support,
     trimmed_support,
 )
+from .stats import norm_ppf
 
-METHODS = ("naive", "manski-max", "manski-q05", "manski-q10", "iid", "mixing", "hybrid")
-
-#: Methods that understand prior knowledge of the outcome support.
-TRUNCATION_METHODS = ("iid", "mixing", "hybrid")
+Builder = Callable[[GroupStats, float, BandOptions], BandResult]
 
 
-@dataclass(frozen=True)
-class BandOptions:
-    """Method-independent knobs, resolved once per run."""
+def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
+    """Difference in means with a two-sided Wald interval at level alpha_u.
 
-    c_alpha: float = 0.0
-    c_abs: float = 1.0
-    mean_bound_treated: float | None = None
-    mean_bound_control: float | None = None
-    bernstein: BernsteinConstants = field(default_factory=BernsteinConstants)
-    truncation: Truncation = field(default_factory=Truncation)
-    variance_mode: str = "welch"
-
-
-@dataclass(frozen=True)
-class BandResult:
-    """One method evaluated at one threshold.
-
-    ``region_lower`` / ``region_upper`` is the plug-in identified interval
-    built from the method's own unpadded supports (a point for the naive
-    method); ``band_lower`` / ``band_upper`` is the confidence band.
+    variance_mode 'welch' uses var1/n1 + var0/n0.  Mode 'contrast' uses the
+    sample variance (n - 1 denominator) of the per-observation weighted
+    contributions y_i * w_i, where w_i is +1/n1 for treated and -1/n0 for
+    control rows, so that the contributions sum to the estimate itself.
+    The region is the point estimate.
     """
-
-    method: str
-    alpha_u: float
-    n_treated: int
-    n_control: int
-    region_lower: float
-    region_upper: float
-    band_lower: float
-    band_upper: float
-    se_lower: float | None = None
-    se_upper: float | None = None
-    support: SupportBounds | None = None
-    paddings: Paddings | None = None
-
-    @property
-    def excludes_zero(self) -> bool:
-        return self.band_lower > 0.0 or self.band_upper < 0.0
-
-
-def base_support(stats: GroupStats, truncation: Truncation) -> SupportBounds:
-    """Unpadded supports consistent with the declared truncation."""
-    if truncation.kind == "both":
-        return SupportBounds(
-            lower_treated=truncation.lower,
-            upper_treated=truncation.upper,
-            lower_control=truncation.lower,
-            upper_control=truncation.upper,
-            source="known",
+    if stats.degenerate:
+        raise DegenerateArmError("naive estimate needs both arms non-empty")
+    if stats.n_treated < 2 or stats.n_control < 2:
+        raise DegenerateArmError("variance needs at least 2 observations per arm")
+    delta = stats.mean_treated - stats.mean_control
+    if options.variance_mode == "welch":
+        se = math.sqrt(
+            stats.var_treated / stats.n_treated + stats.var_control / stats.n_control
         )
-    if truncation.kind == "lower":
-        return SupportBounds(
-            lower_treated=truncation.lower,
-            upper_treated=stats.max_treated,
-            lower_control=truncation.lower,
-            upper_control=stats.max_control,
-            source="lower-known",
+    else:
+        contributions = np.concatenate(
+            [
+                stats.treated_serial / stats.n_treated,
+                -stats.control_serial / stats.n_control,
+            ]
         )
-    return extrema_support(stats)
-
-
-def _concentration_result(
-    stats: GroupStats, method: str, alpha_u: float, band: ConcentrationBand
-) -> BandResult:
-    region = manski_region(stats, base_support(stats, band.truncation))
+        se = math.sqrt(float(np.sum((contributions - delta) ** 2)) / (stats.n - 1))
+    z = norm_ppf(1.0 - alpha_u / 2.0)
     return BandResult(
-        method=method,
+        method="naive",
         alpha_u=alpha_u,
         n_treated=stats.n_treated,
         n_control=stats.n_control,
-        region_lower=region.lower,
-        region_upper=region.upper,
-        band_lower=band.lower,
-        band_upper=band.upper,
-        support=band.support,
-        paddings=band.paddings,
+        region_lower=delta,
+        region_upper=delta,
+        band_lower=delta - z * se,
+        band_upper=delta + z * se,
+        se_lower=se,
+        se_upper=se,
+        multiplier=z,
     )
+
+
+def _manski_band(method: str, trim: float | None) -> Builder:
+    """The delta-method band on the empirical extrema (``trim`` None) or on
+    the supports trimmed to the ``trim`` and 1 - ``trim`` quantiles."""
+
+    def build(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
+        support = extrema_support(stats) if trim is None else trimmed_support(stats, trim)
+        return delta_method_band(stats, support, alpha_u, method=method)
+
+    return build
+
+
+#: Method name -> builder(stats, alpha_u, options).
+BUILDERS: dict[str, Builder] = {
+    "naive": _naive_band,
+    "manski-max": _manski_band("manski-max", None),
+    "manski-q05": _manski_band("manski-q05", 0.05),
+    "manski-q10": _manski_band("manski-q10", 0.10),
+    "iid": _iid_band,
+    "mixing": _mixing_band,
+    "hybrid": _hybrid_band,
+}
+METHODS = tuple(BUILDERS)
+
+
+#: Each method that reads a truncation -> the fewest observations it needs
+#: per arm, the name its DegenerateArmError messages give it, and whether
+#: its known-support reduction reports the delta-method SEs.
+_PADDED = {
+    "iid": (1, "band construction", False),
+    "mixing": (2, "band construction", False),
+    "hybrid": (2, "hybrid band", True),
+}
+#: Methods that understand prior knowledge of the outcome support.
+TRUNCATION_METHODS = tuple(_PADDED)
 
 
 def compute_band(
@@ -120,78 +121,34 @@ def compute_band(
     alpha_u: float,
     options: BandOptions | None = None,
 ) -> BandResult:
-    """Evaluate one band method at per-look level alpha_u."""
+    """Evaluate one band method at per-look level alpha_u.
+
+    A method that reads a truncation first needs its fewest observations
+    per arm, then a truncation that no observed outcome violates.  With
+    both support limits known nothing is left to pad: its band is the
+    delta-method band on the known support, with zero paddings.
+    """
     options = options or BandOptions()
-    if method not in METHODS:
+    if method not in BUILDERS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
-    if options.truncation.kind != "none" and method not in TRUNCATION_METHODS:
-        raise ValidationError(
-            f"truncation is only supported by {TRUNCATION_METHODS}, not {method!r}"
-        )
-
-    if method == "naive":
-        est = naive_estimate(stats, alpha_u, variance_mode=options.variance_mode)
-        return BandResult(
-            method=method,
-            alpha_u=alpha_u,
-            n_treated=stats.n_treated,
-            n_control=stats.n_control,
-            region_lower=est.delta,
-            region_upper=est.delta,
-            band_lower=est.ci_lower,
-            band_upper=est.ci_upper,
-            se_lower=est.se,
-            se_upper=est.se,
-        )
-
-    if method in ("manski-max", "manski-q05", "manski-q10"):
-        if method == "manski-max":
-            support = extrema_support(stats)
-        else:
-            support = trimmed_support(stats, 0.05 if method == "manski-q05" else 0.10)
-        band = delta_method_band(stats, support, alpha_u)
-        return BandResult(
-            method=method,
-            alpha_u=alpha_u,
-            n_treated=stats.n_treated,
-            n_control=stats.n_control,
-            region_lower=band.region.lower,
-            region_upper=band.region.upper,
-            band_lower=band.band_lower,
-            band_upper=band.band_upper,
-            se_lower=band.se_lower,
-            se_upper=band.se_upper,
-            support=support,
-        )
-
-    if method in ("iid", "mixing"):
-        config = PaddingConfig(
-            alpha_u=alpha_u,
-            c_alpha=options.c_alpha,
-            mean_bound_treated=options.mean_bound_treated,
-            mean_bound_control=options.mean_bound_control,
-            c_abs=options.c_abs,
-            bernstein=options.bernstein,
-            truncation=options.truncation,
-        )
-        builder = iid_band if method == "iid" else mixing_band
-        return _concentration_result(stats, method, alpha_u, builder(stats, config))
-
-    band = hybrid_band(
-        stats, alpha_u, c_alpha=options.c_alpha, truncation=options.truncation
-    )
-    region = manski_region(stats, base_support(stats, band.truncation))
-    return BandResult(
-        method=method,
-        alpha_u=alpha_u,
-        n_treated=stats.n_treated,
-        n_control=stats.n_control,
-        region_lower=region.lower,
-        region_upper=region.upper,
-        band_lower=band.lower,
-        band_upper=band.upper,
-        se_lower=band.se_lower,
-        se_upper=band.se_upper,
-        support=band.support,
-        paddings=band.paddings,
-    )
+    if not 0.0 < alpha_u < 1.0:
+        raise ValidationError(f"alpha_u must lie in (0, 1), got {alpha_u}")
+    truncation = options.truncation
+    if method not in _PADDED:
+        if truncation.kind != "none":
+            raise ValidationError(
+                f"truncation is only supported by {TRUNCATION_METHODS}, not {method!r}"
+            )
+        return BUILDERS[method](stats, alpha_u, options)
+    min_per_arm, name, reports_se = _PADDED[method]
+    if stats.degenerate:
+        raise DegenerateArmError(f"{name} needs both arms non-empty")
+    if min(stats.n_treated, stats.n_control) < min_per_arm:
+        raise DegenerateArmError(f"{name} needs at least {min_per_arm} observations per arm")
+    check_truncation_consistency(stats, truncation)
+    if truncation.kind != "both":
+        return BUILDERS[method](stats, alpha_u, options)
+    support = known_support(truncation.lower, truncation.upper)
+    band = delta_method_band(stats, support, alpha_u, method=method)
+    unused = {} if reports_se else {"se_lower": None, "se_upper": None, "multiplier": None}
+    return replace(band, paddings=Paddings.zero(), **unused)

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -29,9 +29,9 @@ from .errors import (
     ValidationError,
 )
 from .estimators import VARIANCE_MODES, group_stats
-from .hybrid import MC_DESIGNS
 from .montecarlo import (
     MANSKI_VARIANTS,
+    MC_DESIGNS,
     coverage_table,
     write_coverage_csv,
 )
@@ -125,22 +125,19 @@ def _load_panel(args: argparse.Namespace):
     return panel
 
 
-_ALLOWED_CONFIG_KEYS = {
-    "c_alpha",
-    "c_abs",
-    "mean_bound_treated",
-    "mean_bound_control",
-    "bernstein",
-    "truncation",
-    "variance_mode",
-}
-_ALLOWED_BERNSTEIN_KEYS = {"c1", "c2", "c3", "c4", "gamma", "long_run_var"}
+def _config_section(file_cfg: dict, key: str) -> dict:
+    section = file_cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"{key} config must be a JSON object, got {section!r}")
+    return dict(section)
 
 
 def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
     """Merge defaults, an optional JSON config file, and explicit flags.
 
-    Precedence: flags beat the file, the file beats the defaults.
+    Precedence: flags beat the file, the file beats the defaults, which
+    are BandOptions' and BernsteinConstants' own.  Every value is checked
+    when the options are built, before any panel is read.
     """
     file_cfg: dict = {}
     if args.config is not None:
@@ -152,66 +149,39 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
             raise ValidationError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_cfg) - _ALLOWED_CONFIG_KEYS
+        unknown = set(file_cfg) - {f.name for f in fields(BandOptions)}
         if unknown:
             raise ValidationError(f"config file has unknown keys: {sorted(unknown)}")
 
-    bern_cfg = dict(file_cfg.get("bernstein", {}))
-    unknown = set(bern_cfg) - _ALLOWED_BERNSTEIN_KEYS
+    bern_cfg = _config_section(file_cfg, "bernstein")
+    unknown = set(bern_cfg) - {f.name for f in fields(BernsteinConstants)}
     if unknown:
         raise ValidationError(f"bernstein config has unknown keys: {sorted(unknown)}")
-    for key, flag in (
-        ("c1", args.bernstein_c1),
-        ("c2", args.bernstein_c2),
-        ("c3", args.bernstein_c3),
-        ("c4", args.bernstein_c4),
-        ("gamma", args.bernstein_gamma),
-        ("long_run_var", args.long_run_var),
-    ):
-        if flag is not None:
-            bern_cfg[key] = flag
+    bern_flags = {key: getattr(args, f"bernstein_{key}") for key in ("c1", "c2", "c3", "c4")}
+    bern_flags["gamma"] = args.bernstein_gamma
+    bern_flags["long_run_var"] = args.long_run_var
+    bern_cfg.update((key, flag) for key, flag in bern_flags.items() if flag is not None)
     bernstein = BernsteinConstants(**bern_cfg)
 
-    trunc_cfg = dict(file_cfg.get("truncation", {}))
+    trunc_cfg = _config_section(file_cfg, "truncation")
     lower = args.truncation_lower if args.truncation_lower is not None else trunc_cfg.get("lower")
     upper = args.truncation_upper if args.truncation_upper is not None else trunc_cfg.get("upper")
     if upper is not None and lower is None:
         raise ValidationError("--truncation-upper requires --truncation-lower")
-    if lower is not None:
-        truncation = (
-            Truncation.both_known(lower, upper)
-            if upper is not None
-            else Truncation.lower_known(lower)
-        )
-    else:
-        truncation = Truncation.none()
+    kind = "none" if lower is None else "lower" if upper is None else "both"
+    truncation = Truncation(kind=kind, lower=lower, upper=upper)
 
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(file_key, default)
-
-    options = BandOptions(
-        c_alpha=pick(args.c_alpha, "c_alpha", 0.0),
-        c_abs=pick(args.c_abs, "c_abs", 1.0),
-        mean_bound_treated=pick(args.m_treated, "mean_bound_treated", None),
-        mean_bound_control=pick(args.m_control, "mean_bound_control", None),
-        bernstein=bernstein,
-        truncation=truncation,
-        variance_mode=pick(args.variance_mode, "variance_mode", "welch"),
-    )
-    resolved = {
-        "method": args.method,
-        "alpha": args.alpha,
-        "c_alpha": options.c_alpha,
-        "c_abs": options.c_abs,
-        "mean_bound_treated": options.mean_bound_treated,
-        "mean_bound_control": options.mean_bound_control,
-        "bernstein": asdict(options.bernstein),
-        "truncation": asdict(options.truncation),
-        "variance_mode": options.variance_mode,
+    flags = {
+        "c_alpha": args.c_alpha,
+        "c_abs": args.c_abs,
+        "mean_bound_treated": args.m_treated,
+        "mean_bound_control": args.m_control,
+        "variance_mode": args.variance_mode,
     }
-    return options, resolved
+    knobs = {key: file_cfg[key] for key in flags if key in file_cfg}
+    knobs.update((key, flag) for key, flag in flags.items() if flag is not None)
+    options = BandOptions(bernstein=bernstein, truncation=truncation, **knobs)
+    return options, {"method": args.method, "alpha": args.alpha, **asdict(options)}
 
 
 # ---------------------------------------------------------------------------

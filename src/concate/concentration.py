@@ -7,21 +7,37 @@ events for the full construction, with one-sided variants halving the log
 budget.  Two dependence regimes are covered: independent sampling, and
 alpha-mixing with mixing constant c_alpha, where the weak-dependence
 Bernstein mean bound has three competing tail terms (budget alpha_u / 18
-each) and the third must be inverted numerically.
+each) and the third must be inverted numerically.  :class:`BandOptions`
+holds the knobs that every band method reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
-from .errors import ConfigurationError, DataError, DegenerateArmError, ValidationError
-from .estimators import GroupStats
-from .manski import SupportBounds, delta_method_band, known_support
+from .errors import ConfigurationError, DataError, ValidationError
+from .estimators import VARIANCE_MODES, GroupStats
+from .manski import (
+    BandResult,
+    IdentificationRegion,
+    Paddings,
+    SupportBounds,
+    extrema_support,
+    manski_region,
+)
 from .stats import long_run_variance
 
 SIDES = ("one", "two")
 TRUNCATION_KINDS = ("none", "lower", "both")
+
+
+def _finite(name: str, value: object) -> float:
+    """``value`` if it is a finite real number (a bool is not); else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -42,11 +58,11 @@ class BernsteinConstants:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3", "c4"):
-            if getattr(self, name) <= 0.0:
+            if _finite(f"Bernstein constant {name}", getattr(self, name)) <= 0.0:
                 raise ValidationError(f"Bernstein constant {name} must be positive")
-        if not 0.0 < self.gamma < 1.0:
+        if not 0.0 < _finite("gamma", self.gamma) < 1.0:
             raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.long_run_var is not None and self.long_run_var < 0.0:
+        if self.long_run_var is not None and _finite("long-run variance", self.long_run_var) < 0.0:
             raise ValidationError("long-run variance override must be nonnegative")
 
 
@@ -61,6 +77,9 @@ class Truncation:
     def __post_init__(self) -> None:
         if self.kind not in TRUNCATION_KINDS:
             raise ValidationError(f"truncation kind must be one of {TRUNCATION_KINDS}")
+        for name in ("lower", "upper"):
+            if getattr(self, name) is not None:
+                _finite(f"truncation {name} limit", getattr(self, name))
         if self.kind in ("lower", "both") and self.lower is None:
             raise ValidationError(f"truncation kind {self.kind!r} needs a lower limit")
         if self.kind == "both":
@@ -85,71 +104,39 @@ class Truncation:
 
 
 @dataclass(frozen=True)
-class PaddingConfig:
-    """Knobs of the concentration constructions.
+class BandOptions:
+    """Method-independent knobs of the band constructions, resolved once per
+    run and checked once, here.
 
+    ``c_alpha`` is the mixing constant of the dependence-adjusted paddings.
     ``mean_bound_treated`` / ``mean_bound_control`` cap the centered
     outcomes per arm; left unset they default to the observed max absolute
     deviation from the arm mean.  ``c_abs`` is the absolute constant of
-    the independent-case Bernstein inequality.
+    the independent-case Bernstein inequality.  ``variance_mode`` is the
+    naive method's variance (see :data:`concate.estimators.VARIANCE_MODES`).
     """
 
-    alpha_u: float
     c_alpha: float = 0.0
+    c_abs: float = 1.0
     mean_bound_treated: float | None = None
     mean_bound_control: float | None = None
-    c_abs: float = 1.0
     bernstein: BernsteinConstants = field(default_factory=BernsteinConstants)
     truncation: Truncation = field(default_factory=Truncation)
+    variance_mode: str = "welch"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_u < 1.0:
-            raise ValidationError(f"alpha_u must lie in (0, 1), got {self.alpha_u}")
-        if self.c_alpha < 0.0:
+        if _finite("c_alpha", self.c_alpha) < 0.0:
             raise ValidationError(f"c_alpha must be nonnegative, got {self.c_alpha}")
-        if self.c_abs <= 0.0:
+        if _finite("c_abs", self.c_abs) <= 0.0:
             raise ValidationError(f"c_abs must be positive, got {self.c_abs}")
         for name in ("mean_bound_treated", "mean_bound_control"):
             value = getattr(self, name)
-            if value is not None and value < 0.0:
+            if value is not None and _finite(name, value) < 0.0:
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
-
-
-@dataclass(frozen=True)
-class Paddings:
-    """Per-arm padding widths entering one band assembly."""
-
-    eps_treated: float
-    eps_control: float
-    t_share_treated: float
-    t_share_control: float
-    t_mean_treated: float
-    t_mean_control: float
-
-    @classmethod
-    def zero(cls) -> "Paddings":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ConcentrationBand:
-    """A finite-sample simultaneous band for the identified interval."""
-
-    lower: float
-    upper: float
-    alpha_u: float
-    regime: str
-    paddings: Paddings
-    support: SupportBounds
-    truncation: Truncation
-    reduced_to_delta_method: bool = False
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+        if self.variance_mode not in VARIANCE_MODES:
+            raise ValidationError(
+                f"variance_mode must be one of {VARIANCE_MODES}, got {self.variance_mode!r}"
+            )
 
 
 def _check_level(alpha_u: float) -> None:
@@ -195,16 +182,10 @@ def hoeffding_tp(alpha_u: float, n: int, c_alpha: float | None = None) -> float:
 
     Independent case: sqrt(log(12 / alpha_u) / (2 n)) with n the pooled
     sample size.  Mixing case: (1 + 4 c_alpha) * sqrt(2 log(12 / alpha_u)
-    / n) with n the arm size.
+    / n) with n the arm size.  Both are the two-sided DKW forms at budget
+    12, so this is :func:`dkw_epsilon` with those arguments.
     """
-    _check_level(alpha_u)
-    _check_size(n)
-    log_term = math.log(12.0 / alpha_u)
-    if c_alpha is None:
-        return math.sqrt(log_term / (2.0 * n))
-    if c_alpha < 0.0:
-        raise ValidationError(f"c_alpha must be nonnegative, got {c_alpha}")
-    return (1.0 + 4.0 * c_alpha) * math.sqrt(2.0 * log_term / n)
+    return dkw_epsilon(alpha_u, n, sides="two", budget=12.0, c_alpha=c_alpha)
 
 
 def bernstein_tmu_iid(alpha_u: float, n: int, m: float, c_abs: float = 1.0) -> float:
@@ -364,15 +345,6 @@ def padded_interval(
     return lower, upper
 
 
-def _require_arms(stats: GroupStats, min_per_arm: int) -> None:
-    if stats.degenerate:
-        raise DegenerateArmError("band construction needs both arms non-empty")
-    if min(stats.n_treated, stats.n_control) < min_per_arm:
-        raise DegenerateArmError(
-            f"band construction needs at least {min_per_arm} observations per arm"
-        )
-
-
 def check_truncation_consistency(stats: GroupStats, trunc: Truncation) -> None:
     """Raise DataError when a declared support limit cuts off observed outcomes."""
     observed_min = min(stats.min_treated, stats.min_control)
@@ -387,33 +359,14 @@ def check_truncation_consistency(stats: GroupStats, trunc: Truncation) -> None:
         )
 
 
-def _delta_method_reduction(
-    stats: GroupStats, config: PaddingConfig, regime: str
-) -> ConcentrationBand:
-    """With both support limits known there is nothing left to pad: the
-    band collapses to the delta-method construction on the known support."""
-    support = known_support(config.truncation.lower, config.truncation.upper)
-    band = delta_method_band(stats, support, config.alpha_u)
-    return ConcentrationBand(
-        lower=band.band_lower,
-        upper=band.band_upper,
-        alpha_u=config.alpha_u,
-        regime=regime,
-        paddings=Paddings.zero(),
-        support=support,
-        truncation=config.truncation,
-        reduced_to_delta_method=True,
-    )
-
-
 def _max_deviation(mean: float, lo: float, hi: float) -> float:
     """max |y - mean| over an arm with extrema lo, hi.  fl(y - m) is monotone in y and
     fl(m - y) = -fl(y - m), so this is a pass over the arm bit for bit, NaN included."""
     return math.nan if math.isnan(mean - lo) else max(hi - mean, mean - lo)
 
 
-def _mean_bounds(stats: GroupStats, config: PaddingConfig) -> tuple[float, float]:
-    m1, m0 = config.mean_bound_treated, config.mean_bound_control
+def _mean_bounds(stats: GroupStats, options: BandOptions) -> tuple[float, float]:
+    m1, m0 = options.mean_bound_treated, options.mean_bound_control
     if m1 is None:
         m1 = _max_deviation(stats.mean_treated, stats.min_treated, stats.max_treated)
     if m0 is None:
@@ -442,34 +395,23 @@ def padded_support(
     )
 
 
-def iid_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
-    """Fully finite-sample band under independent sampling.
+def _unpadded_region(stats: GroupStats, trunc: Truncation) -> IdentificationRegion:
+    """The plug-in region that the padded methods report: on the observed
+    extrema, with a known lower limit in place of the lower ones."""
+    support = extrema_support(stats)
+    if trunc.kind == "lower":
+        support = replace(
+            support, lower_treated=trunc.lower, lower_control=trunc.lower, source="lower-known"
+        )
+    return manski_region(stats, support)
 
-    Six failure events at alpha_u / 6 each: two DKW support events, two
-    Hoeffding share events (pooled sample size), two Bernstein mean
-    events.  A known lower limit replaces the lower supports unpadded and
-    halves the DKW budget to one-sided; with both limits known the band
-    reduces to the delta-method construction.
-    """
-    _require_arms(stats, 1)
-    trunc = config.truncation
-    check_truncation_consistency(stats, trunc)
-    if trunc.kind == "both":
-        return _delta_method_reduction(stats, config, regime="iid")
-    sides = "one" if trunc.kind == "lower" else "two"
-    eps1 = dkw_epsilon(config.alpha_u, stats.n_treated, sides=sides, budget=12.0)
-    eps0 = dkw_epsilon(config.alpha_u, stats.n_control, sides=sides, budget=12.0)
-    t_share = hoeffding_tp(config.alpha_u, stats.n)
-    m1, m0 = _mean_bounds(stats, config)
-    paddings = Paddings(
-        eps_treated=eps1,
-        eps_control=eps0,
-        t_share_treated=t_share,
-        t_share_control=t_share,
-        t_mean_treated=bernstein_tmu_iid(config.alpha_u, stats.n_treated, m1, config.c_abs),
-        t_mean_control=bernstein_tmu_iid(config.alpha_u, stats.n_control, m0, config.c_abs),
-    )
-    support = padded_support(stats, trunc, eps1, eps0)
+
+def _padded_band(
+    stats: GroupStats, method: str, alpha_u: float, trunc: Truncation, paddings: Paddings
+) -> BandResult:
+    """The six-event band: ``padded_interval`` on the supports widened by the
+    support paddings, reported with the region on the unpadded supports."""
+    support = padded_support(stats, trunc, paddings.eps_treated, paddings.eps_control)
     lower, upper = padded_interval(
         stats.mean_treated,
         stats.mean_control,
@@ -478,18 +420,46 @@ def iid_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
         support,
         paddings,
     )
-    return ConcentrationBand(
-        lower=lower,
-        upper=upper,
-        alpha_u=config.alpha_u,
-        regime="iid",
-        paddings=paddings,
+    region = _unpadded_region(stats, trunc)
+    return BandResult(
+        method=method,
+        alpha_u=alpha_u,
+        n_treated=stats.n_treated,
+        n_control=stats.n_control,
+        region_lower=region.lower,
+        region_upper=region.upper,
+        band_lower=lower,
+        band_upper=upper,
         support=support,
-        truncation=trunc,
+        paddings=paddings,
     )
 
 
-def mixing_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
+def _iid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
+    """Fully finite-sample band under independent sampling.
+
+    Six failure events at alpha_u / 6 each: two DKW support events, two
+    Hoeffding share events (pooled sample size), two Bernstein mean
+    events.  A known lower limit replaces the lower supports unpadded and
+    halves the DKW budget to one-sided.  :func:`concate.bands.compute_band`
+    checks the arms and the truncation first, and reduces the both-limits
+    case to the delta-method band.
+    """
+    sides = "one" if options.truncation.kind == "lower" else "two"
+    t_share = hoeffding_tp(alpha_u, stats.n)
+    m1, m0 = _mean_bounds(stats, options)
+    paddings = Paddings(
+        eps_treated=dkw_epsilon(alpha_u, stats.n_treated, sides=sides, budget=12.0),
+        eps_control=dkw_epsilon(alpha_u, stats.n_control, sides=sides, budget=12.0),
+        t_share_treated=t_share,
+        t_share_control=t_share,
+        t_mean_treated=bernstein_tmu_iid(alpha_u, stats.n_treated, m1, options.c_abs),
+        t_mean_control=bernstein_tmu_iid(alpha_u, stats.n_control, m0, options.c_abs),
+    )
+    return _padded_band(stats, "iid", alpha_u, options.truncation, paddings)
+
+
+def _mixing_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
     """Finite-sample band under alpha-mixing dependence.
 
     Support and share paddings share the dependence-adjusted form (1 + 4
@@ -499,23 +469,15 @@ def mixing_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
     long-run variance estimated per arm from the serial outcome order
     unless overridden.
     """
-    _require_arms(stats, 2)
-    trunc = config.truncation
-    check_truncation_consistency(stats, trunc)
-    if trunc.kind == "both":
-        return _delta_method_reduction(stats, config, regime="mixing")
-    t_share_1 = hoeffding_tp(config.alpha_u, stats.n_treated, c_alpha=config.c_alpha)
-    t_share_0 = hoeffding_tp(config.alpha_u, stats.n_control, c_alpha=config.c_alpha)
-    if trunc.kind == "lower":
-        eps1 = dkw_epsilon(
-            config.alpha_u, stats.n_treated, sides="one", budget=12.0, c_alpha=config.c_alpha
-        )
-        eps0 = dkw_epsilon(
-            config.alpha_u, stats.n_control, sides="one", budget=12.0, c_alpha=config.c_alpha
-        )
+    c_alpha = options.c_alpha
+    t_share_1 = hoeffding_tp(alpha_u, stats.n_treated, c_alpha=c_alpha)
+    t_share_0 = hoeffding_tp(alpha_u, stats.n_control, c_alpha=c_alpha)
+    if options.truncation.kind == "lower":
+        eps1 = dkw_epsilon(alpha_u, stats.n_treated, sides="one", budget=12.0, c_alpha=c_alpha)
+        eps0 = dkw_epsilon(alpha_u, stats.n_control, sides="one", budget=12.0, c_alpha=c_alpha)
     else:
         eps1, eps0 = t_share_1, t_share_0
-    v1 = v0 = config.bernstein.long_run_var
+    v1 = v0 = options.bernstein.long_run_var
     if v1 is None:
         v1 = long_run_variance(stats.treated_serial)
         v0 = long_run_variance(stats.control_serial)
@@ -524,28 +486,7 @@ def mixing_band(stats: GroupStats, config: PaddingConfig) -> ConcentrationBand:
         eps_control=eps0,
         t_share_treated=t_share_1,
         t_share_control=t_share_0,
-        t_mean_treated=bernstein_tmu_mixing(
-            config.alpha_u, stats.n_treated, config.bernstein, v1
-        ),
-        t_mean_control=bernstein_tmu_mixing(
-            config.alpha_u, stats.n_control, config.bernstein, v0
-        ),
+        t_mean_treated=bernstein_tmu_mixing(alpha_u, stats.n_treated, options.bernstein, v1),
+        t_mean_control=bernstein_tmu_mixing(alpha_u, stats.n_control, options.bernstein, v0),
     )
-    support = padded_support(stats, trunc, eps1, eps0)
-    lower, upper = padded_interval(
-        stats.mean_treated,
-        stats.mean_control,
-        stats.share_treated,
-        stats.share_control,
-        support,
-        paddings,
-    )
-    return ConcentrationBand(
-        lower=lower,
-        upper=upper,
-        alpha_u=config.alpha_u,
-        regime="mixing",
-        paddings=paddings,
-        support=support,
-        truncation=trunc,
-    )
+    return _padded_band(stats, "mixing", alpha_u, options.truncation, paddings)

@@ -1,4 +1,4 @@
-"""Arm-level statistics and the naive difference-in-means estimator."""
+"""Arm-level statistics of one threshold split."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import DegenerateArmError, ValidationError
 from .panel import PanelDataset, TreatmentAssignment
-from .stats import norm_ppf
 
+#: Variances of the naive method's Wald interval (see ``concate.bands``).
 VARIANCE_MODES = ("welch", "contrast")
 
 
@@ -61,19 +61,6 @@ class GroupStats:
     def degenerate(self) -> bool:
         """True when either arm is empty, i.e. the treated share is 0 or 1."""
         return self.n_treated == 0 or self.n_control == 0
-
-
-@dataclass(frozen=True)
-class NaiveEstimate:
-    """Point-identified difference in means with a Wald interval."""
-
-    delta: float
-    se: float
-    ci_lower: float
-    ci_upper: float
-    alpha_u: float
-    variance_mode: str
-    multiplier: float
 
 
 def _arm(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -140,49 +127,3 @@ def empirical_quantile(values_sorted: np.ndarray, p: float) -> float:
     idx = min(max(idx, 1), x.size)
     return float(x[idx - 1])
 
-
-def naive_estimate(
-    stats: GroupStats,
-    alpha_u: float,
-    variance_mode: str = "welch",
-) -> NaiveEstimate:
-    """Difference in means with a two-sided Wald interval at level alpha_u.
-
-    variance_mode 'welch' uses var1/n1 + var0/n0.  Mode 'contrast' uses the
-    sample variance (n - 1 denominator) of the per-observation weighted
-    contributions y_i * w_i, where w_i is +1/n1 for treated and -1/n0 for
-    control rows, so that the contributions sum to the estimate itself.
-    """
-    if not 0.0 < alpha_u < 1.0:
-        raise ValidationError(f"alpha_u must lie in (0, 1), got {alpha_u}")
-    if variance_mode not in VARIANCE_MODES:
-        raise ValidationError(
-            f"variance_mode must be one of {VARIANCE_MODES}, got {variance_mode!r}"
-        )
-    if stats.degenerate:
-        raise DegenerateArmError("naive estimate needs both arms non-empty")
-    if stats.n_treated < 2 or stats.n_control < 2:
-        raise DegenerateArmError("variance needs at least 2 observations per arm")
-    delta = stats.mean_treated - stats.mean_control
-    if variance_mode == "welch":
-        se = math.sqrt(
-            stats.var_treated / stats.n_treated + stats.var_control / stats.n_control
-        )
-    else:
-        contributions = np.concatenate(
-            [
-                stats.treated_serial / stats.n_treated,
-                -stats.control_serial / stats.n_control,
-            ]
-        )
-        se = math.sqrt(float(np.sum((contributions - delta) ** 2)) / (stats.n - 1))
-    z = norm_ppf(1.0 - alpha_u / 2.0)
-    return NaiveEstimate(
-        delta=delta,
-        se=se,
-        ci_lower=delta - z * se,
-        ci_upper=delta + z * se,
-        alpha_u=alpha_u,
-        variance_mode=variance_mode,
-        multiplier=z,
-    )

@@ -8,7 +8,8 @@ the identified interval has
     upper = mean1 * p1 + U1 * p0 - L0 * p1 - mean0 * p0
 
 where p1, p0 are the arm shares.  Its width, (U1 - L1) * p0 + (U0 - L0)
-* p1, does not depend on the arm means.
+* p1, does not depend on the arm means.  :class:`BandResult` is the one
+result type of every band method, and :class:`Paddings` what it pads.
 """
 
 from __future__ import annotations
@@ -60,17 +61,54 @@ class IdentificationRegion:
 
 
 @dataclass(frozen=True)
-class DeltaMethodBand:
-    """Identification region widened by Bonferroni-split normal critical values."""
+class Paddings:
+    """Per-arm padding widths entering one band assembly."""
 
-    region: IdentificationRegion
-    support: SupportBounds
-    se_lower: float
-    se_upper: float
+    eps_treated: float
+    eps_control: float
+    t_share_treated: float
+    t_share_control: float
+    t_mean_treated: float
+    t_mean_control: float
+
+    @classmethod
+    def zero(cls) -> "Paddings":
+        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class BandResult:
+    """One band method evaluated at one threshold; every method returns one.
+
+    ``region_lower`` / ``region_upper`` is the plug-in identified interval
+    built from the method's own unpadded supports (a point for the naive
+    method); ``band_lower`` / ``band_upper`` is the confidence band.
+    ``multiplier`` is the normal critical value that scales ``se_lower`` /
+    ``se_upper``; the fully finite-sample ``iid`` and ``mixing`` bands use
+    none.
+    """
+
+    method: str
+    alpha_u: float
+    n_treated: int
+    n_control: int
+    region_lower: float
+    region_upper: float
     band_lower: float
     band_upper: float
-    alpha_u: float
-    multiplier: float
+    se_lower: float | None = None
+    se_upper: float | None = None
+    support: SupportBounds | None = None
+    paddings: Paddings | None = None
+    multiplier: float | None = None
+
+    @property
+    def width(self) -> float:
+        return self.band_upper - self.band_lower
+
+    @property
+    def excludes_zero(self) -> bool:
+        return self.band_lower > 0.0 or self.band_upper < 0.0
 
 
 def extrema_support(stats: GroupStats) -> SupportBounds:
@@ -187,12 +225,15 @@ def endpoint_se(cov: np.ndarray, gradient: np.ndarray) -> float:
 
 
 def delta_method_band(
-    stats: GroupStats, support: SupportBounds, alpha_u: float
-) -> DeltaMethodBand:
+    stats: GroupStats,
+    support: SupportBounds,
+    alpha_u: float,
+    method: str = "delta-method",
+) -> BandResult:
     """Simultaneous band for the identified interval via the delta method.
 
     Each endpoint receives half of alpha_u (Bonferroni), so the multiplier
-    is the normal quantile at 1 - alpha_u / 2.
+    is the normal quantile at 1 - alpha_u / 2.  ``method`` names the result.
     """
     if not 0.0 < alpha_u < 1.0:
         raise ValidationError(f"alpha_u must lie in (0, 1), got {alpha_u}")
@@ -201,13 +242,17 @@ def delta_method_band(
     grad_lower, grad_upper = bound_gradients(stats, support)
     se_lower, se_upper = endpoint_se(cov, grad_lower), endpoint_se(cov, grad_upper)
     z = norm_ppf(1.0 - alpha_u / 2.0)
-    return DeltaMethodBand(
-        region=region,
-        support=support,
-        se_lower=se_lower,
-        se_upper=se_upper,
+    return BandResult(
+        method=method,
+        alpha_u=alpha_u,
+        n_treated=stats.n_treated,
+        n_control=stats.n_control,
+        region_lower=region.lower,
+        region_upper=region.upper,
         band_lower=region.lower - z * se_lower,
         band_upper=region.upper + z * se_upper,
-        alpha_u=alpha_u,
+        se_lower=se_lower,
+        se_upper=se_upper,
+        support=support,
         multiplier=z,
     )

@@ -1,4 +1,10 @@
-"""Coverage experiment for the plug-in and hybrid intervals.
+"""Coverage experiment for the plug-in and Monte Carlo "hybrid" intervals.
+
+The "hybrid" interval here is the paper's Monte Carlo interval: the
+plug-in interval widened by one DKW epsilon pooled over all N
+observations and one symmetric delta-method term.  It is not the
+``hybrid`` band method of :mod:`concate.hybrid`, which pads each arm's
+supports separately and carries an SE per endpoint.
 
 Seven outcome designs, each a firm-by-quarter panel with a constant
 additive effect on the treated:
@@ -33,12 +39,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
-from .hybrid import MC_DESIGNS, _replication_intervals
+from .errors import ConfigurationError, DegenerateArmError, ValidationError
+from .stats import norm_ppf
 
+MC_DESIGNS = ("A", "B", "C", "D", "E", "F", "G")
 MANSKI_VARIANTS = ("plugin", "banded")
 
 TREATMENT_SHARE = 0.3
@@ -177,6 +185,129 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> SimulatedData:
     else:
         d = rng.random(shape) < TREATMENT_SHARE
     return SimulatedData(y0=y0, d=d, y=y0 + spec.delta * d)
+
+
+class _Intervals(NamedTuple):
+    """The intervals of a block of replications, one array entry per row
+    (one float per field for the single row of ``replication_bands``).
+    ``hybrid_*`` is the Monte Carlo interval of the module docstring."""
+
+    manski_lower: np.ndarray
+    manski_upper: np.ndarray
+    hybrid_lower: np.ndarray
+    hybrid_upper: np.ndarray
+    banded_lower: np.ndarray
+    banded_upper: np.ndarray
+    support_lower: np.ndarray
+    support_upper: np.ndarray
+    epsilon: float
+    se: np.ndarray
+
+
+def _replication_intervals(
+    y0: np.ndarray, y: np.ndarray, d: np.ndarray, design: str, alpha: float
+) -> _Intervals:
+    """Coverage-experiment intervals for a (B, N) block, one row per replication.
+
+    Arm statistics are masked reductions along axis 1.  Every row needs
+    both arms non-empty and, outside design G, two observations per arm;
+    callers check that.  The endpoint SE is the closed form of g' S g
+    for the gradients and covariance of :mod:`concate.manski`:
+
+        se^2 = p1^2 v1 / n1 + p0^2 v0 / n0 + (p1 p0 / N) (g_p1 - g_p0)^2
+
+    Both arms share the support [a, b], so g_p1 - g_p0 = mean1 + mean0 -
+    a - b at both endpoints and one SE serves both.  ``banded_*`` widens
+    the plug-in interval by it at the normal quantile of 1 - alpha / 2.
+    For design G the hybrid arrays are the plug-in arrays and the reported
+    epsilon and SE are zero.
+    """
+    n = y.shape[1]
+    n1 = np.count_nonzero(d, axis=1)
+    n0 = n - n1
+    p1, p0 = n1 / n, n0 / n
+    in1 = d.astype(float)
+    in0 = 1.0 - in1
+    mean1 = np.einsum("ij,ij->i", y, in1) / n1
+    mean0 = np.einsum("ij,ij->i", y, in0) / n0
+    if design == "G":
+        a = np.full(n1.shape, -5.0)
+        b = np.full(n1.shape, 5.0)
+    else:
+        b = y0.max(axis=1)
+        a = np.zeros_like(b) if design == "F" else y0.min(axis=1)
+    base = mean1 * p1 - mean0 * p0
+    lower = base + a * p0 - b * p1
+    upper = base + b * p0 - a * p1
+    # two-pass n - 1 variances; NaN, without a warning, for a one-observation arm
+    dev = y - np.where(d, mean1[:, None], mean0[:, None])
+    sq = dev * dev
+    var1 = np.divide(np.einsum("ij,ij->i", sq, in1), n1 - 1,
+                     out=np.full(n1.shape, np.nan), where=n1 > 1)
+    var0 = np.divide(np.einsum("ij,ij->i", sq, in0), n0 - 1,
+                     out=np.full(n0.shape, np.nan), where=n0 > 1)
+    mean_terms = p1 * p1 * var1 / n1 + p0 * p0 * var0 / n0
+    se = np.sqrt(mean_terms + p1 * p0 / n * (mean1 + mean0 - a - b) ** 2)
+    z_banded = norm_ppf(1.0 - alpha / 2.0)
+    banded_lower = lower - z_banded * se
+    banded_upper = upper + z_banded * se
+    if design == "G":
+        return _Intervals(lower, upper, lower, upper, banded_lower, banded_upper,
+                          a, b, 0.0, np.zeros(n1.shape))
+    log_c = math.log(1.0 / alpha) if design == "F" else math.log(2.0 / alpha)
+    epsilon = math.sqrt(log_c / (2.0 * n))
+    spread = norm_ppf(1.0 - alpha / 4.0) * np.hypot(se, se)
+    return _Intervals(lower, upper, lower - epsilon - spread, upper + epsilon + spread,
+                      banded_lower, banded_upper, a, b, epsilon, se)
+
+
+def replication_bands(
+    y0: np.ndarray,
+    y: np.ndarray,
+    d: np.ndarray,
+    alpha: float,
+    design: str,
+) -> _Intervals:
+    """One replication of the coverage experiment: plug-in and Monte Carlo intervals.
+
+    Supports are design-specific and shared by both arms: design G uses
+    the known support (-5, 5), design F a known lower limit 0 with the
+    empirical maximum of the baseline outcomes, and all other designs the
+    empirical extrema of the baseline outcomes (the baseline, not the
+    observed outcome, so a positive effect can fall outside the plug-in
+    interval by construction).
+
+    For design G the Monte Carlo ("hybrid") interval is the plug-in
+    interval, bit for bit.  Otherwise it widens the plug-in interval by a
+    pooled support padding eps = sqrt(log(C) / (2 N)), with C = 2 / alpha
+    two-sided and C = 1 / alpha for the one-sided design F, plus a
+    symmetric delta-method term at the normal quantile of 1 - alpha / 4
+    applied to the combined endpoint scale sqrt(se^2 + se^2), where ``se``
+    is the one SE both endpoints share.  This is a one-row call of the
+    block kernel that scores the coverage experiment, and returns its row
+    as floats.
+    """
+    if design not in MC_DESIGNS:
+        raise ValidationError(f"design must be one of {MC_DESIGNS}, got {design!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    y0 = np.asarray(y0, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    d = np.asarray(d, dtype=bool).ravel()
+    if not y0.size == y.size == d.size:
+        raise ValidationError("baseline, outcome and treatment arrays have different sizes")
+    if y.size == 0:
+        raise ValidationError("cannot split an empty sample")
+    n1 = int(np.count_nonzero(d))
+    if min(n1, d.size - n1) == 0:
+        raise DegenerateArmError("replication has an empty arm")
+    if design != "G" and min(n1, d.size - n1) < 2:
+        raise DegenerateArmError("replication needs 2+ observations per arm")
+    rows = _replication_intervals(y0[None, :], y[None, :], d[None, :], design, alpha)
+    row = _Intervals._make(float(np.ravel(value)[0]) for value in rows)
+    if math.isnan(row.support_lower) or math.isnan(row.support_upper):
+        raise ValidationError("support is undefined (NaN)")
+    return row
 
 
 def _hits(lower: np.ndarray, upper: np.ndarray, value: float) -> int:

@@ -174,39 +174,27 @@ def scan(
         tau, alpha_u = item
         assignment = assign_treatment(panel, tau)
         n1, n0 = assignment.n_treated, assignment.n_control
-        if min(n1, n0) < min_group:
-            side = "treated" if n1 < min_group else "control"
+
+        def row(band: BandResult | None, reason: str | None = None) -> ThresholdResult:
             return ThresholdResult(
                 tau=tau,
                 alpha_u=alpha_u,
                 n_treated=n1,
                 n_control=n0,
-                skipped=True,
-                reason=f"{side} arm below min_group ({min(n1, n0)} < {min_group})",
-                band=None,
+                skipped=band is None,
+                reason=reason,
+                band=band,
             )
+
+        if min(n1, n0) < min_group:
+            side = "treated" if n1 < min_group else "control"
+            return row(None, f"{side} arm below min_group ({min(n1, n0)} < {min_group})")
         stats = group_stats(panel, assignment)
         try:
             band = compute_band(stats, method, alpha_u, options)
         except DegenerateArmError as exc:
-            return ThresholdResult(
-                tau=tau,
-                alpha_u=alpha_u,
-                n_treated=n1,
-                n_control=n0,
-                skipped=True,
-                reason=str(exc),
-                band=None,
-            )
-        return ThresholdResult(
-            tau=tau,
-            alpha_u=alpha_u,
-            n_treated=n1,
-            n_control=n0,
-            skipped=False,
-            reason=None,
-            band=band,
-        )
+            return row(None, str(exc))
+        return row(band)
 
     items = list(zip(grid.taus, alphas))
     workers = min(workers, len(items), os.cpu_count() or 1)

@@ -17,14 +17,19 @@ from concate.concentration import (
 from concate.datasets import make_null_panel, make_tipping_demo_panel, write_panel_csv
 from concate.errors import EmptyScanError
 from concate.estimators import split_arms
-from concate.hybrid import hybrid_band, replication_bands
 from concate.manski import (
     bound_gradients,
     delta_method_band,
     extrema_support,
     sampling_covariance,
 )
-from concate.montecarlo import DgpSpec, coverage_table, generate, replication_seed
+from concate.montecarlo import (
+    DgpSpec,
+    coverage_table,
+    generate,
+    replication_bands,
+    replication_seed,
+)
 from concate.sequential import ThresholdGrid, scan
 
 # Reference coverage grid for the default harness (50 units, effect 4.0,
@@ -289,7 +294,8 @@ class TestAcceptance:
                 se_fd = math.sqrt(float(fd @ cov @ fd))
                 worst_se = max(worst_se, abs(se_fd - se) / se)
 
-            hybrid = hybrid_band(stats, 0.05, c_alpha=float(rng.uniform(0.0, 0.5)))
+            c_alpha = float(rng.uniform(0.0, 0.5))
+            hybrid = compute_band(stats, "hybrid", 0.05, BandOptions(c_alpha=c_alpha))
             fd_lower, fd_upper = fd_gradients(stats, hybrid.support)
             for se, fd in ((hybrid.se_lower, fd_lower), (hybrid.se_upper, fd_upper)):
                 se_fd = math.sqrt(float(fd @ cov @ fd))

@@ -6,15 +6,20 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import concate
-from concate.bands import METHODS, compute_band
+from concate.bands import METHODS, BandOptions, compute_band
 from concate.cli import RNG_DESCRIPTION, main
+from concate.concentration import Truncation
 from concate.datasets import make_null_panel, make_tipping_demo_panel, write_panel_csv
-from concate.estimators import group_stats
+from concate.errors import ConcateError
+from concate.estimators import group_stats, split_arms
 from concate.panel import assign_treatment, load_csv, rolling_correlation, summary_stats
 
 SMALL = """unit_id,time,outcome,signal
@@ -222,6 +227,161 @@ class TestBandConfig:
         not_dict.write_text("[1, 2]")
         assert main(["bounds", path, "--tau", "40", "--config", str(not_dict)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        ("knob", "message"),
+        [
+            (["--c-abs", "nan"], "c_abs must be a finite number, got nan"),
+            (["--m-treated", "inf"], "mean_bound_treated must be a finite number, got inf"),
+            (["--bernstein-c1", "nan"], "Bernstein constant c1 must be a finite number"),
+            (["--long-run-var", "nan"], "long-run variance must be a finite number"),
+            (["--truncation-lower=-inf"], "truncation lower limit must be a finite number"),
+            ({"c_abs": "x"}, "c_abs must be a finite number, got 'x'"),
+            ({"c_alpha": None}, "c_alpha must be a finite number, got None"),
+            ({"c_alpha": True}, "c_alpha must be a finite number, got True"),
+            ({"truncation": {"lower": "a"}}, "truncation lower limit must be a finite number"),
+            ({"bernstein": [1]}, "bernstein config must be a JSON object"),
+            (["--c-abs", "-1"], "c_abs must be positive"),
+            ({"mean_bound_treated": -3}, "mean_bound_treated must be nonnegative"),
+            ({"variance_mode": "pooled"}, "variance_mode must be one of"),
+        ],
+    )
+    def test_bad_knobs_exit_2_under_every_method_before_the_panel_is_read(
+        self, tmp_path, capsys, method, knob, message
+    ):
+        """The panel file does not exist: reading it would exit 3."""
+        args = ["bounds", str(tmp_path / "absent.csv"), "--tau", "50", "--method", method]
+        if isinstance(knob, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(knob))
+            knob = ["--config", str(cfg)]
+        assert main(args + knob) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def truncation_split(n1, n0):
+    """Arms of n1 treated and n0 control outcomes: treated in [-1, 3], control in [-0.5, 0.5]."""
+    y = np.concatenate([1.0 + 2.0 * np.sin(np.arange(n1)), 0.5 * np.cos(np.arange(n0))])
+    return split_arms(y, np.arange(n1 + n0) < n1)
+
+
+TRUNCATIONS = {
+    "none": Truncation.none(),
+    "lower -10": Truncation.lower_known(-10.0),
+    "lower 5": Truncation.lower_known(5.0),
+    "both -10 10": Truncation.both_known(-10.0, 10.0),
+    "both -10 2.5": Truncation.both_known(-10.0, 2.5),
+}
+ARM_SIZES = (0, 1, 2, 3, 30)
+
+
+def band_outcome(n1, n0, method, truncation):
+    """The 12 result fields the bands reported before the one result type,
+    or the exception class and message."""
+    try:
+        options = BandOptions(truncation=truncation)
+        band = compute_band(truncation_split(n1, n0), method, 0.05, options)
+    except ConcateError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    fields = {name: getattr(band, name) for name in (
+        "method", "alpha_u", "n_treated", "n_control", "region_lower", "region_upper",
+        "band_lower", "band_upper", "se_lower", "se_upper")}
+    for name in ("support", "paddings"):
+        value = getattr(band, name)
+        fields[name] = None if value is None else asdict(value)
+    return json.dumps(fields, sort_keys=True)
+
+
+def band_table():
+    return {
+        f"{n1},{n0},{method},{label}": band_outcome(n1, n0, method, truncation)
+        for n1 in ARM_SIZES for n0 in ARM_SIZES if n1 + n0
+        for method in METHODS for label, truncation in TRUNCATIONS.items()
+    }
+
+class TestTruncationPins:
+    """Recorded before the band result types were merged into one."""
+
+    @pytest.mark.parametrize(
+        ("method", "upper", "json_sha256"),
+        [
+            ("iid", [], "1aaa2633b0d4bfff5e2d7def40373687ac9a3eb0922255d1e69a1a75d184b48b"),
+            ("iid", ["--truncation-upper", "40"],
+             "15da2285b79435fe59fe1c461af81e0819ccf7ebc00440652a3902c08b7f479b"),
+            ("mixing", [], "0dbedea8ac31225215d5e13ec86a60e5886fbd52b07d58876ca807cfb76c72db"),
+            ("mixing", ["--truncation-upper", "40"],
+             "faa590ff7101494b296b4c79c3cb265c3ec154d79fe7ba5a8dbda27dfaabca04"),
+            ("hybrid", [], "dc4af890cfabc0804b33012a9a6b88bb80af3eb0e755a966b544ee74be148521"),
+            ("hybrid", ["--truncation-upper", "40"],
+             "14782efba70fbaa9564d1a4da0918c4c891e623d3dbe30a56f11b2b2e5bef575"),
+        ],
+    )
+    def test_bounds_json_is_pinned(self, tmp_path, capsys, method, upper, json_sha256):
+        report = tmp_path / "bounds.json"
+        rc = main([
+            "bounds", demo_csv(tmp_path), "--tau", "50", "--method", method,
+            "--truncation-lower", "-5", *upper, "--json", str(report),
+        ])
+        assert rc == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
+        capsys.readouterr()
+
+    def test_every_split_method_and_truncation_is_pinned(self):
+        table = band_table()
+        assert len(table) == 840
+        errors = Counter(v for v in table.values() if not v.startswith("{"))
+        assert errors == {
+            "ConfigurationError: third Bernstein term never reaches its budget for this configuration": 10,
+            "DataError: known lower limit 5.0 exceeds the observed minimum -0.2080734182735712": 7,
+            "DataError: known lower limit 5.0 exceeds the observed minimum -0.49998041319731856": 7,
+            "DataError: known lower limit 5.0 exceeds the observed minimum -0.999980413101407": 10,
+            "DataError: known lower limit 5.0 exceeds the observed minimum 0.2701511529340699": 7,
+            "DataError: known lower limit 5.0 exceeds the observed minimum 0.5": 3,
+            "DataError: known upper limit 2.5 is below the observed maximum 2.682941969615793": 10,
+            "DataError: known upper limit 2.5 is below the observed maximum 2.8185948536513634": 10,
+            "DataError: known upper limit 2.5 is below the observed maximum 2.9812147113897405": 10,
+            "DegenerateArmError: band construction needs at least 2 observations per arm": 35,
+            "DegenerateArmError: band construction needs both arms non-empty": 80,
+            "DegenerateArmError: extrema support needs both arms non-empty": 8,
+            "DegenerateArmError: hybrid band needs at least 2 observations per arm": 35,
+            "DegenerateArmError: hybrid band needs both arms non-empty": 40,
+            "DegenerateArmError: naive estimate needs both arms non-empty": 8,
+            "DegenerateArmError: sampling covariance needs 2+ observations per arm": 32,
+            "DegenerateArmError: trimmed support needs both arms non-empty": 16,
+            "DegenerateArmError: variance needs at least 2 observations per arm": 7,
+            "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'manski-max'": 96,
+            "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'manski-q05'": 96,
+            "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'manski-q10'": 96,
+            "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'naive'": 96,
+        }
+        digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
+        assert digest == "61a1eca0feda964831a8a5c5a1ef4ab14cc5cdd99863586d3c0448921d2d29c6"
+
+    def test_too_small_an_arm_is_reported_before_a_truncation_conflict(self):
+        conflict = TRUNCATIONS["lower 5"]
+        assert band_outcome(0, 30, "iid", conflict) == (
+            "DegenerateArmError: band construction needs both arms non-empty"
+        )
+        assert band_outcome(1, 30, "mixing", conflict) == (
+            "DegenerateArmError: band construction needs at least 2 observations per arm"
+        )
+        assert band_outcome(1, 30, "hybrid", conflict) == (
+            "DegenerateArmError: hybrid band needs at least 2 observations per arm"
+        )
+        assert band_outcome(30, 0, "hybrid", conflict) == (
+            "DegenerateArmError: hybrid band needs both arms non-empty"
+        )
+        assert band_outcome(1, 30, "iid", conflict).startswith("DataError: known lower limit")
+
+    def test_known_support_reports_zero_paddings_and_only_hybrid_an_se(self):
+        for method in ("iid", "mixing", "hybrid"):
+            fields = json.loads(band_outcome(30, 30, method, TRUNCATIONS["both -10 10"]))
+            assert fields["support"]["source"] == "known"
+            assert set(fields["paddings"].values()) == {0.0}
+            assert (fields["se_lower"] is not None) == (method == "hybrid")
 
 
 class TestScan:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from concate.bands import BandOptions, compute_band
 from concate.concentration import (
     BernsteinConstants,
-    PaddingConfig,
     Paddings,
     Truncation,
     bernstein_mixing_terms,
@@ -16,8 +16,6 @@ from concate.concentration import (
     bernstein_tmu_mixing,
     dkw_epsilon,
     hoeffding_tp,
-    iid_band,
-    mixing_band,
     padded_interval,
 )
 from concate.errors import (
@@ -237,13 +235,13 @@ class TestTruncation:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            PaddingConfig(alpha_u=0.0)
+            compute_band(stats_from([1.0, 2.0], [3.0, 4.0]), "iid", 0.0)
         with pytest.raises(ValidationError):
-            PaddingConfig(alpha_u=0.05, c_alpha=-1.0)
+            BandOptions(c_alpha=-1.0)
         with pytest.raises(ValidationError):
-            PaddingConfig(alpha_u=0.05, c_abs=0.0)
+            BandOptions(c_abs=0.0)
         with pytest.raises(ValidationError):
-            PaddingConfig(alpha_u=0.05, mean_bound_treated=-2.0)
+            BandOptions(mean_bound_treated=-2.0)
 
 
 class TestPaddedInterval:
@@ -279,13 +277,13 @@ class TestPaddedInterval:
 class TestIidBand:
     def test_contains_the_plugin_region_for_nonnegative_outcomes(self):
         rng = np.random.default_rng(97)
-        config = PaddingConfig(alpha_u=0.05)
+        config = BandOptions()
         for _ in range(300):
             s = random_stats(rng, positive=True)
-            band = iid_band(s, config)
+            band = compute_band(s, "iid", 0.05, config)
             region = manski_region(s, extrema_support(s))
-            assert band.lower <= region.lower + 1e-12
-            assert band.upper >= region.upper - 1e-12
+            assert band.band_lower <= region.lower + 1e-12
+            assert band.band_upper >= region.upper - 1e-12
 
     def test_centered_heavy_left_tails_can_escape_the_region(self):
         """Containment is not algebraic: the adversarial share terms
@@ -296,14 +294,14 @@ class TestIidBand:
         z = rng.random(n) < 0.5
         y = rng.standard_normal(n) * 2.5
         s = split_arms(y, z)
-        band = iid_band(s, PaddingConfig(alpha_u=0.05))
+        band = compute_band(s, "iid", 0.05)
         region = manski_region(s, extrema_support(s))
-        assert band.lower > region.lower
+        assert band.band_lower > region.lower
 
     def test_padding_bookkeeping(self):
         rng = np.random.default_rng(98)
         s = random_stats(rng)
-        band = iid_band(s, PaddingConfig(alpha_u=0.05))
+        band = compute_band(s, "iid", 0.05)
         p = band.paddings
         assert p.eps_treated == dkw_epsilon(0.05, s.n_treated)
         assert p.eps_control == dkw_epsilon(0.05, s.n_control)
@@ -312,21 +310,21 @@ class TestIidBand:
         m1 = float(np.max(np.abs(s.treated_serial - s.mean_treated)))
         assert p.t_mean_treated == bernstein_tmu_iid(0.05, s.n_treated, m1)
         assert band.support.upper_treated == s.max_treated + p.eps_treated
-        assert band.regime == "iid"
+        assert band.method == "iid"
 
     def test_explicit_mean_bounds_override_the_data(self):
         s = stats_from([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        band = iid_band(s, PaddingConfig(alpha_u=0.05, mean_bound_treated=10.0))
+        band = compute_band(s, "iid", 0.05, BandOptions(mean_bound_treated=10.0))
         assert band.paddings.t_mean_treated == bernstein_tmu_iid(0.05, 4, 10.0)
 
     def test_band_shrinks_as_the_sample_grows(self):
         rng = np.random.default_rng(99)
-        config = PaddingConfig(alpha_u=0.05)
+        config = BandOptions()
         widths = []
         for n in (100, 10_000, 1_000_000):
             y = rng.chisquare(3, n)
             z = rng.random(n) < 0.5
-            band = iid_band(split_arms(y, z), config)
+            band = compute_band(split_arms(y, z), "iid", 0.05, config)
             region = manski_region(split_arms(y, z), extrema_support(split_arms(y, z)))
             widths.append(band.width - region.width)
         assert widths[0] > widths[1] > widths[2]
@@ -335,14 +333,14 @@ class TestIidBand:
     def test_band_widens_as_alpha_shrinks(self):
         rng = np.random.default_rng(100)
         s = random_stats(rng)
-        w = [iid_band(s, PaddingConfig(alpha_u=a)).width for a in (0.2, 0.1, 0.05, 0.01)]
+        w = [compute_band(s, "iid", a).width for a in (0.2, 0.1, 0.05, 0.01)]
         assert all(a < b for a, b in zip(w, w[1:]))
 
     def test_lower_known_uses_the_limit_unpadded(self):
         rng = np.random.default_rng(101)
         s = random_stats(rng, positive=True)
-        config = PaddingConfig(alpha_u=0.05, truncation=Truncation.lower_known(0.0))
-        band = iid_band(s, config)
+        config = BandOptions(truncation=Truncation.lower_known(0.0))
+        band = compute_band(s, "iid", 0.05, config)
         assert band.support.lower_treated == 0.0
         assert band.support.lower_control == 0.0
         assert band.support.source == "padded-lower-known"
@@ -353,9 +351,9 @@ class TestIidBand:
         rng = np.random.default_rng(102)
         for _ in range(25):
             s = random_stats(rng, positive=True)
-            plain = iid_band(s, PaddingConfig(alpha_u=0.05))
-            known = iid_band(
-                s, PaddingConfig(alpha_u=0.05, truncation=Truncation.lower_known(0.0))
+            plain = compute_band(s, "iid", 0.05)
+            known = compute_band(
+                s, "iid", 0.05, BandOptions(truncation=Truncation.lower_known(0.0))
             )
             assert known.paddings.eps_treated < plain.paddings.eps_treated
             assert known.paddings.eps_control < plain.paddings.eps_control
@@ -365,34 +363,34 @@ class TestIidBand:
 
     def test_inconsistent_lower_limit_raises(self):
         s = stats_from([1.0, 2.0], [3.0, 4.0])
-        config = PaddingConfig(alpha_u=0.05, truncation=Truncation.lower_known(1.5))
+        config = BandOptions(truncation=Truncation.lower_known(1.5))
         with pytest.raises(DataError):
-            iid_band(s, config)
+            compute_band(s, "iid", 0.05, config)
 
     def test_both_known_reduces_to_delta_method(self):
         rng = np.random.default_rng(103)
         s = random_stats(rng)
         lo = float(min(s.min_treated, s.min_control)) - 1.0
         hi = float(max(s.max_treated, s.max_control)) + 1.0
-        config = PaddingConfig(alpha_u=0.05, truncation=Truncation.both_known(lo, hi))
-        band = iid_band(s, config)
+        config = BandOptions(truncation=Truncation.both_known(lo, hi))
+        band = compute_band(s, "iid", 0.05, config)
         reference = delta_method_band(s, known_support(lo, hi), 0.05)
-        assert band.reduced_to_delta_method
-        assert band.lower == reference.band_lower
-        assert band.upper == reference.band_upper
+        assert band.support.source == "known"
+        assert band.band_lower == reference.band_lower
+        assert band.band_upper == reference.band_upper
         assert band.paddings == Paddings.zero()
 
     def test_degenerate_arm_raises(self):
         s = split_arms(np.ones(5), np.ones(5, dtype=bool))
         with pytest.raises(DegenerateArmError):
-            iid_band(s, PaddingConfig(alpha_u=0.05))
+            compute_band(s, "iid", 0.05)
 
 
 class TestMixingBand:
     def test_support_padding_equals_share_padding(self):
         rng = np.random.default_rng(104)
         s = random_stats(rng, arm_min=5)
-        band = mixing_band(s, PaddingConfig(alpha_u=0.05, c_alpha=0.5))
+        band = compute_band(s, "mixing", 0.05, BandOptions(c_alpha=0.5))
         p = band.paddings
         assert p.eps_treated == p.t_share_treated
         assert p.eps_control == p.t_share_control
@@ -400,19 +398,19 @@ class TestMixingBand:
 
     def test_contains_the_plugin_region_for_nonnegative_outcomes(self):
         rng = np.random.default_rng(105)
-        config = PaddingConfig(alpha_u=0.05, c_alpha=0.5)
+        config = BandOptions(c_alpha=0.5)
         for _ in range(300):
             s = random_stats(rng, positive=True, arm_min=5)
-            band = mixing_band(s, config)
+            band = compute_band(s, "mixing", 0.05, config)
             region = manski_region(s, extrema_support(s))
-            assert band.lower <= region.lower + 1e-12
-            assert band.upper >= region.upper - 1e-12
+            assert band.band_lower <= region.lower + 1e-12
+            assert band.band_upper >= region.upper - 1e-12
 
     def test_width_increases_with_dependence_constant(self):
         rng = np.random.default_rng(106)
         s = random_stats(rng, arm_min=5)
         widths = [
-            mixing_band(s, PaddingConfig(alpha_u=0.05, c_alpha=c)).width
+            compute_band(s, "mixing", 0.05, BandOptions(c_alpha=c)).width
             for c in (0.0, 0.5, 1.0, 2.0)
         ]
         assert all(a < b for a, b in zip(widths, widths[1:]))
@@ -422,15 +420,15 @@ class TestMixingBand:
         for _ in range(25):
             s = random_stats(rng, arm_min=5)
             assert (
-                mixing_band(s, PaddingConfig(alpha_u=0.05)).width
-                > iid_band(s, PaddingConfig(alpha_u=0.05)).width
+                compute_band(s, "mixing", 0.05).width
+                > compute_band(s, "iid", 0.05).width
             )
 
     def test_long_run_variance_override(self):
         rng = np.random.default_rng(108)
         s = random_stats(rng, arm_min=5)
         constants = BernsteinConstants(long_run_var=2.5)
-        band = mixing_band(s, PaddingConfig(alpha_u=0.05, bernstein=constants))
+        band = compute_band(s, "mixing", 0.05, BandOptions(bernstein=constants))
         assert band.paddings.t_mean_treated == bernstein_tmu_mixing(
             0.05, s.n_treated, constants, 2.5
         )
@@ -438,10 +436,8 @@ class TestMixingBand:
     def test_lower_known_one_sided_budget(self):
         rng = np.random.default_rng(109)
         s = random_stats(rng, positive=True, arm_min=5)
-        config = PaddingConfig(
-            alpha_u=0.05, c_alpha=0.5, truncation=Truncation.lower_known(0.0)
-        )
-        band = mixing_band(s, config)
+        config = BandOptions(c_alpha=0.5, truncation=Truncation.lower_known(0.0))
+        band = compute_band(s, "mixing", 0.05, config)
         assert band.support.lower_treated == 0.0
         assert band.paddings.eps_treated == dkw_epsilon(
             0.05, s.n_treated, sides="one", c_alpha=0.5
@@ -453,15 +449,15 @@ class TestMixingBand:
         s = random_stats(rng, arm_min=5)
         lo = float(min(s.min_treated, s.min_control)) - 1.0
         hi = float(max(s.max_treated, s.max_control)) + 1.0
-        config = PaddingConfig(alpha_u=0.05, truncation=Truncation.both_known(lo, hi))
-        band = mixing_band(s, config)
-        assert band.reduced_to_delta_method
-        assert band.regime == "mixing"
+        config = BandOptions(truncation=Truncation.both_known(lo, hi))
+        band = compute_band(s, "mixing", 0.05, config)
+        assert band.support.source == "known"
+        assert band.method == "mixing"
 
     def test_needs_two_per_arm(self):
         s = stats_from([1.0], [2.0, 3.0])
         with pytest.raises(DegenerateArmError):
-            mixing_band(s, PaddingConfig(alpha_u=0.05))
+            compute_band(s, "mixing", 0.05)
 
     def test_arm_of_exactly_two_cannot_calibrate_the_third_term(self):
         """At arm size 2 the third weak-dependence tail term stays below
@@ -469,4 +465,4 @@ class TestMixingBand:
         and the configuration is rejected."""
         s = stats_from([1.0, 2.0], [0.5, 1.5, 2.5])
         with pytest.raises(ConfigurationError):
-            mixing_band(s, PaddingConfig(alpha_u=0.05))
+            compute_band(s, "mixing", 0.05)

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from concate.bands import compute_band
+from concate.bands import BandOptions, compute_band
 from concate.datasets import make_tipping_demo_panel
 from concate.errors import DegenerateArmError, ValidationError
 from concate.estimators import (
     VARIANCE_MODES,
     empirical_quantile,
     group_stats,
-    naive_estimate,
     split_arms,
 )
 from concate.panel import PanelDataset, assign_treatment
@@ -180,12 +179,12 @@ class TestEmpiricalQuantile:
 class TestNaiveEstimate:
     def test_hand_computed_welch(self):
         s = stats_from([0.0, 2.0], [1.0, 3.0])
-        est = naive_estimate(s, 0.05)
-        assert est.delta == -1.0
-        assert abs(est.se - math.sqrt(2.0)) < 1e-12
+        est = compute_band(s, "naive", 0.05)
+        assert est.region_lower == -1.0
+        assert abs(est.se_lower - math.sqrt(2.0)) < 1e-12
         assert abs(est.multiplier - 1.959964) < 1e-6
-        assert abs(est.ci_lower - (-1.0 - est.multiplier * est.se)) < 1e-12
-        assert abs(est.ci_upper - (-1.0 + est.multiplier * est.se)) < 1e-12
+        assert abs(est.band_lower - (-1.0 - est.multiplier * est.se_lower)) < 1e-12
+        assert abs(est.band_upper - (-1.0 + est.multiplier * est.se_lower)) < 1e-12
 
     def test_delta_equals_weighted_sum(self):
         rng = np.random.default_rng(60)
@@ -204,27 +203,26 @@ class TestNaiveEstimate:
         y1 = rng.standard_normal(40)
         y0 = rng.standard_normal(10) * 3.0
         s = stats_from(y1, y0)
-        est = naive_estimate(s, 0.05)
+        est = compute_band(s, "naive", 0.05)
         expected = math.sqrt(y1.var(ddof=1) / 40 + y0.var(ddof=1) / 10)
-        assert abs(est.se - expected) < 1e-12
+        assert abs(est.se_lower - expected) < 1e-12
 
     def test_contrast_variance_formula(self):
         rng = np.random.default_rng(62)
         y1 = rng.standard_normal(15) + 1.0
         y0 = rng.standard_normal(25)
         s = stats_from(y1, y0)
-        est = naive_estimate(s, 0.05, variance_mode="contrast")
+        est = compute_band(s, "naive", 0.05, BandOptions(variance_mode="contrast"))
         delta = y1.mean() - y0.mean()
         c = np.concatenate([y1 / 15, -y0 / 25])
         expected = math.sqrt(float(np.sum((c - delta) ** 2)) / (40 - 1))
-        assert abs(est.se - expected) < 1e-12
-        assert est.variance_mode == "contrast"
+        assert abs(est.se_lower - expected) < 1e-12
 
     def test_interval_narrows_as_alpha_grows(self):
         s = stats_from([0.0, 2.0, 1.0], [1.0, 3.0, 2.0])
-        wide = naive_estimate(s, 0.01)
-        narrow = naive_estimate(s, 0.10)
-        assert wide.ci_upper - wide.ci_lower > narrow.ci_upper - narrow.ci_lower
+        wide = compute_band(s, "naive", 0.01)
+        narrow = compute_band(s, "naive", 0.10)
+        assert wide.band_upper - wide.band_lower > narrow.band_upper - narrow.band_lower
 
     def test_modes_tuple(self):
         assert VARIANCE_MODES == ("welch", "contrast")
@@ -232,22 +230,22 @@ class TestNaiveEstimate:
     def test_unknown_mode(self):
         s = stats_from([0.0, 2.0], [1.0, 3.0])
         with pytest.raises(ValidationError):
-            naive_estimate(s, 0.05, variance_mode="pooled")
+            compute_band(s, "naive", 0.05, BandOptions(variance_mode="pooled"))
 
     def test_alpha_validation(self):
         s = stats_from([0.0, 2.0], [1.0, 3.0])
         for alpha in (0.0, 1.0, -0.5):
             with pytest.raises(ValidationError):
-                naive_estimate(s, alpha)
+                compute_band(s, "naive", alpha)
 
     def test_degenerate_and_tiny_arms_raise(self):
         with pytest.raises(DegenerateArmError):
-            naive_estimate(split_arms(np.ones(3), np.ones(3, dtype=bool)), 0.05)
+            compute_band(split_arms(np.ones(3), np.ones(3, dtype=bool)), "naive", 0.05)
         with pytest.raises(DegenerateArmError):
-            naive_estimate(stats_from([1.0], [2.0, 3.0]), 0.05)
+            compute_band(stats_from([1.0], [2.0, 3.0]), "naive", 0.05)
 
     def test_multiplier_is_two_sided_quantile(self):
         s = stats_from([0.0, 2.0], [1.0, 3.0])
         for alpha in (0.01, 0.05, 0.2):
-            est = naive_estimate(s, alpha)
+            est = compute_band(s, "naive", alpha)
             assert est.multiplier == norm_ppf(1.0 - alpha / 2.0)

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from concate.bands import BandOptions, compute_band
 from concate.concentration import Truncation
 from concate.errors import DataError, DegenerateArmError, ValidationError
 from concate.estimators import split_arms
-from concate.hybrid import MC_DESIGNS, hybrid_band, replication_bands
+from concate.montecarlo import MC_DESIGNS, replication_bands
 from concate.manski import (
     bound_gradients,
     extrema_support,
@@ -39,7 +40,7 @@ def random_stats(rng, n_lo=20, n_hi=200, positive=False):
 class TestHybridBand:
     def test_multiplier(self):
         rng = np.random.default_rng(120)
-        band = hybrid_band(random_stats(rng), 0.05)
+        band = compute_band(random_stats(rng), "hybrid", 0.05)
         assert abs(band.multiplier - 2.241403) < 1e-6
         assert band.multiplier == norm_ppf(1.0 - 0.05 / 4.0)
 
@@ -47,16 +48,16 @@ class TestHybridBand:
         rng = np.random.default_rng(121)
         for _ in range(50):
             s = random_stats(rng)
-            band = hybrid_band(s, 0.05)
+            band = compute_band(s, "hybrid", 0.05)
             padded_region = manski_region(s, band.support)
-            assert band.region.lower == padded_region.lower
-            assert abs(band.lower - (padded_region.lower - band.multiplier * band.se_lower)) < 1e-12
-            assert abs(band.upper - (padded_region.upper + band.multiplier * band.se_upper)) < 1e-12
+            z = band.multiplier
+            assert abs(band.band_lower - (padded_region.lower - z * band.se_lower)) < 1e-12
+            assert abs(band.band_upper - (padded_region.upper + z * band.se_upper)) < 1e-12
 
     def test_per_endpoint_ses_use_the_padded_support(self):
         rng = np.random.default_rng(122)
         s = random_stats(rng)
-        band = hybrid_band(s, 0.05)
+        band = compute_band(s, "hybrid", 0.05)
         cov = sampling_covariance(s)
         grad_lower, grad_upper = bound_gradients(s, band.support)
         assert abs(band.se_lower - math.sqrt(grad_lower @ cov @ grad_lower)) < 1e-15
@@ -65,7 +66,7 @@ class TestHybridBand:
     def test_support_padding_formula(self):
         rng = np.random.default_rng(123)
         s = random_stats(rng)
-        band = hybrid_band(s, 0.05, c_alpha=0.5)
+        band = compute_band(s, "hybrid", 0.05, BandOptions(c_alpha=0.5))
         expected = 3.0 * math.sqrt(2.0 * math.log(8.0 / 0.05) / s.n_treated)
         assert abs(band.paddings.eps_treated - expected) < 1e-15
         assert band.support.upper_treated == s.max_treated + band.paddings.eps_treated
@@ -76,10 +77,10 @@ class TestHybridBand:
         for positive in (False, True):
             for _ in range(250):
                 s = random_stats(rng, positive=positive)
-                band = hybrid_band(s, 0.05)
+                band = compute_band(s, "hybrid", 0.05)
                 region = manski_region(s, extrema_support(s))
-                assert band.lower < region.lower
-                assert band.upper > region.upper
+                assert band.band_lower < region.lower
+                assert band.band_upper > region.upper
 
     def test_band_approaches_the_region_as_n_grows(self):
         rng = np.random.default_rng(125)
@@ -88,7 +89,7 @@ class TestHybridBand:
             y = rng.chisquare(3, n)
             z = rng.random(n) < 0.5
             s = split_arms(y, z)
-            band = hybrid_band(s, 0.05)
+            band = compute_band(s, "hybrid", 0.05)
             region = manski_region(s, extrema_support(s))
             gaps.append(band.width - region.width)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -97,19 +98,23 @@ class TestHybridBand:
     def test_width_monotone_in_c_alpha(self):
         rng = np.random.default_rng(126)
         s = random_stats(rng)
-        widths = [hybrid_band(s, 0.05, c_alpha=c).width for c in (0.0, 0.5, 1.0, 2.0)]
+        widths = [
+            compute_band(s, "hybrid", 0.05, BandOptions(c_alpha=c)).width
+            for c in (0.0, 0.5, 1.0, 2.0)
+        ]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
     def test_width_monotone_as_alpha_shrinks(self):
         rng = np.random.default_rng(127)
         s = random_stats(rng)
-        widths = [hybrid_band(s, a).width for a in (0.2, 0.1, 0.05, 0.01)]
+        widths = [compute_band(s, "hybrid", a).width for a in (0.2, 0.1, 0.05, 0.01)]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
     def test_lower_known_halves_the_budget_and_skips_lower_padding(self):
         rng = np.random.default_rng(128)
         s = random_stats(rng, positive=True)
-        band = hybrid_band(s, 0.05, truncation=Truncation.lower_known(0.0))
+        options = BandOptions(truncation=Truncation.lower_known(0.0))
+        band = compute_band(s, "hybrid", 0.05, options)
         assert band.support.lower_treated == 0.0
         assert band.support.lower_control == 0.0
         assert band.support.source == "padded-lower-known"
@@ -120,15 +125,18 @@ class TestHybridBand:
     def test_inconsistent_lower_limit_raises(self):
         s = stats_from([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(DataError):
-            hybrid_band(s, 0.05, truncation=Truncation.lower_known(1.5))
+            compute_band(
+                s, "hybrid", 0.05, BandOptions(truncation=Truncation.lower_known(1.5))
+            )
 
     def test_both_known_reduces_to_delta_method(self):
         rng = np.random.default_rng(129)
         s = random_stats(rng)
         lo = float(min(s.min_treated, s.min_control)) - 1.0
         hi = float(max(s.max_treated, s.max_control)) + 1.0
-        band = hybrid_band(s, 0.05, truncation=Truncation.both_known(lo, hi))
-        assert band.reduced_to_delta_method
+        options = BandOptions(truncation=Truncation.both_known(lo, hi))
+        band = compute_band(s, "hybrid", 0.05, options)
+        assert band.support.source == "known"
         # the reduction inherits the delta-method budget, not alpha_u / 4
         assert band.multiplier == norm_ppf(1.0 - 0.05 / 2.0)
         assert band.support.source == "known"
@@ -136,13 +144,13 @@ class TestHybridBand:
     def test_validation(self):
         s = stats_from([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(ValidationError):
-            hybrid_band(s, 0.0)
+            compute_band(s, "hybrid", 0.0)
         with pytest.raises(ValidationError):
-            hybrid_band(s, 0.05, c_alpha=-1.0)
+            compute_band(s, "hybrid", 0.05, BandOptions(c_alpha=-1.0))
         with pytest.raises(DegenerateArmError):
-            hybrid_band(stats_from([1.0], [2.0, 3.0]), 0.05)
+            compute_band(stats_from([1.0], [2.0, 3.0]), "hybrid", 0.05)
         with pytest.raises(DegenerateArmError):
-            hybrid_band(split_arms(np.ones(4), np.ones(4, dtype=bool)), 0.05)
+            compute_band(split_arms(np.ones(4), np.ones(4, dtype=bool)), "hybrid", 0.05)
 
 
 class TestReplicationBands:
@@ -158,7 +166,7 @@ class TestReplicationBands:
         assert bands.hybrid_lower == bands.manski_lower
         assert bands.hybrid_upper == bands.manski_upper
         assert bands.support_lower == -5.0 and bands.support_upper == 5.0
-        assert bands.epsilon == 0.0 and bands.se_lower == 0.0
+        assert bands.epsilon == 0.0 and bands.se == 0.0
 
     def test_known_support_design_allows_single_observation_arms(self):
         """The undefined n - 1 variance of a one-observation arm is not
@@ -171,7 +179,7 @@ class TestReplicationBands:
             flipped = replication_bands(y0, y0, ~d, 0.05, "G")
         assert bands.hybrid_lower == bands.manski_lower
         assert flipped.hybrid_upper == flipped.manski_upper
-        assert bands.se_lower == bands.se_upper == 0.0
+        assert bands.se == 0.0
 
     def test_pooled_epsilon_anchor(self):
         rng = np.random.default_rng(131)
@@ -216,24 +224,11 @@ class TestReplicationBands:
         y = y0 + 4.0 * d
         bands = replication_bands(y0, y, d, 0.05, "B")
         z = norm_ppf(1.0 - 0.05 / 4.0)
-        scale = math.hypot(bands.se_lower, bands.se_upper)
+        scale = math.hypot(bands.se, bands.se)
         assert abs(bands.hybrid_lower - (bands.manski_lower - bands.epsilon - z * scale)) < 1e-12
         assert abs(bands.hybrid_upper - (bands.manski_upper + bands.epsilon + z * scale)) < 1e-12
         assert bands.hybrid_lower < bands.manski_lower
         assert bands.hybrid_upper > bands.manski_upper
-
-    def test_endpoint_ses_coincide_under_a_common_support(self):
-        """With both arms sharing one support the two endpoint gradients
-        give the same quadratic form, so the SEs agree."""
-        rng = np.random.default_rng(135)
-        for _ in range(50):
-            n = int(rng.integers(20, 150))
-            y0 = rng.standard_normal(n)
-            d = rng.random(n) < 0.3
-            if not 2 <= d.sum() <= n - 2:
-                continue
-            bands = replication_bands(y0, y0 + 4.0 * d, d, 0.05, "A")
-            assert abs(bands.se_lower - bands.se_upper) < 1e-12 * max(bands.se_lower, 1e-9)
 
     def test_empty_arm_raises(self):
         y0 = np.zeros(10)

@@ -211,8 +211,8 @@ class TestDeltaMethodBand:
         for _ in range(100):
             s = random_stats(rng)
             band = delta_method_band(s, extrema_support(s), 0.05)
-            assert band.band_lower <= band.region.lower
-            assert band.band_upper >= band.region.upper
+            assert band.band_lower <= band.region_lower
+            assert band.band_upper >= band.region_upper
 
     def test_multiplier(self):
         s = stats_from([0.0, 2.0, 4.0], [1.0, 3.0])
@@ -223,8 +223,8 @@ class TestDeltaMethodBand:
         s = stats_from([2.0, 2.0], [2.0, 2.0, 2.0])
         band = delta_method_band(s, known_support(2.0, 2.0), 0.05)
         assert band.se_lower == 0.0 and band.se_upper == 0.0
-        assert band.band_lower == band.region.lower == 0.0
-        assert band.band_upper == band.region.upper == 0.0
+        assert band.band_lower == band.region_lower == 0.0
+        assert band.band_upper == band.region_upper == 0.0
 
     def test_se_matches_sampling_distribution(self):
         """Delta-method SE vs the sd of the bound over fresh samples."""
@@ -237,7 +237,7 @@ class TestDeltaMethodBand:
             d = rng.random(n) < 0.5
             y = np.where(d, rng.uniform(0.0, 4.0, n), rng.uniform(-4.0, 0.0, n))
             band = delta_method_band(split_arms(y, d), support, 0.05)
-            lowers[r] = band.region.lower
+            lowers[r] = band.region_lower
             reported[r] = band.se_lower
         observed = lowers.std(ddof=1)
         assert abs(observed - reported.mean()) < 0.10 * reported.mean()

@@ -10,17 +10,19 @@ from scipy import stats as sps
 from concate import montecarlo
 from concate.errors import ConfigurationError, ValidationError
 from concate.estimators import split_arms
-from concate.hybrid import MC_DESIGNS, _replication_intervals, replication_bands
 from concate.manski import bound_gradients, known_support, manski_region, sampling_covariance
 from concate.montecarlo import (
     BLOCK_ELEMENTS,
     MANSKI_VARIANTS,
     MAX_REPS,
+    MC_DESIGNS,
     CellCoverage,
     DgpSpec,
+    _replication_intervals,
     _replication_seeds,
     coverage_table,
     generate,
+    replication_bands,
     replication_seed,
     run_cell,
     write_coverage_csv,
@@ -379,7 +381,7 @@ class TestBatchedStatistics:
             assert close(one.manski_upper, want["plugin"][1], width)
             assert close(one.hybrid_lower, want["hybrid"][0], width)
             assert close(one.hybrid_upper, want["hybrid"][1], width)
-            assert close(one.se_lower, want["se"][0]) and close(one.se_upper, want["se"][1])
+            assert close(one.se, want["se"][0]) and close(one.se, want["se"][1])
             assert close(one.epsilon, want["epsilon"])
         if design == "G":
             assert np.array_equal(block.hybrid_lower, block.manski_lower)

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concate.bands import METHODS, BandOptions, compute_band
-from concate.concentration import PaddingConfig, _mean_bounds
+from concate.concentration import _mean_bounds
 from concate.errors import ConcateError
 from concate.estimators import GroupStats, split_arms
-from concate.hybrid import MC_DESIGNS
-from concate.montecarlo import MAX_REPS, DgpSpec, _replication_seeds, replication_seed
+from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -96,7 +95,7 @@ def test_split_arms_matches_the_eager_split_bit_for_bit(sample):
 @given(samples(min_arm=1))
 def test_closed_form_mean_bound_equals_the_largest_deviation(sample):
     stats = split_arms(*sample)
-    m1, m0 = _mean_bounds(stats, PaddingConfig(alpha_u=0.05))
+    m1, m0 = _mean_bounds(stats, BandOptions())
     assert repr(m1) == repr(float(np.max(np.abs(stats.treated_serial - stats.mean_treated))))
     assert repr(m0) == repr(float(np.max(np.abs(stats.control_serial - stats.mean_control))))
 
@@ -132,7 +131,7 @@ def test_mean_bound_is_exact_when_the_mean_rounds_outside_the_arm():
     stats = split_arms(np.full(9, 0.1), np.arange(9) < 3)
     assert stats.mean_treated > stats.max_treated
     assert stats.mean_control < stats.min_control
-    m1, m0 = _mean_bounds(stats, PaddingConfig(alpha_u=0.05))
+    m1, m0 = _mean_bounds(stats, BandOptions())
     assert m1 == float(np.max(np.abs(stats.treated_serial - stats.mean_treated)))
     assert m0 == float(np.max(np.abs(stats.control_serial - stats.mean_control)))
 
@@ -148,7 +147,7 @@ def test_mean_bound_follows_the_pass_over_a_non_finite_arm(arm):
     with np.errstate(invalid="ignore", over="ignore"):
         stats = split_arms(y, np.arange(y.size) < len(arm))
         want = float(np.max(np.abs(stats.treated_serial - stats.mean_treated)))
-    m1, _ = _mean_bounds(stats, PaddingConfig(alpha_u=0.05))
+    m1, _ = _mean_bounds(stats, BandOptions())
     assert repr(m1) == repr(want)
 
 

@@ -1,0 +1,26 @@
+"""The README's library example and the package's public names."""
+
+import re
+from pathlib import Path
+
+import concate
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_quickstart_runs(capsys):
+    text = README.read_text()
+    section = text[text.index("## Library quickstart"):]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1] == "55.0 positive"
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from concate import *", namespace)
+    assert len(set(concate.__all__)) == len(concate.__all__)
+    missing = [name for name in concate.__all__ if name not in namespace]
+    assert missing == []

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from concate import sequential
-from concate.bands import METHODS, BandOptions, BandResult, compute_band
-from concate.concentration import PaddingConfig, Truncation, iid_band, mixing_band
+from concate.bands import BUILDERS, METHODS, BandOptions, BandResult, compute_band
+from concate.concentration import Truncation
 from concate.datasets import make_null_panel, make_tipping_demo_panel
 from concate.errors import ConfigurationError, EmptyScanError, ValidationError
-from concate.estimators import naive_estimate, split_arms
-from concate.hybrid import hybrid_band
+from concate.estimators import split_arms
 from concate.manski import delta_method_band, extrema_support, manski_region, trimmed_support
 from concate.sequential import DEFAULT_MIN_GROUP, MAX_LOOKS, ThresholdGrid, scan, spend_alpha
 
@@ -153,18 +152,18 @@ class TestComputeBand:
     def test_naive_collapses_the_region_to_a_point(self):
         s = random_stats(np.random.default_rng(200))
         res = compute_band(s, "naive", 0.05)
-        est = naive_estimate(s, 0.05)
-        assert res.region_lower == res.region_upper == est.delta
-        assert res.band_lower == est.ci_lower
-        assert res.band_upper == est.ci_upper
-        assert res.se_lower == res.se_upper == est.se
+        est = BUILDERS["naive"](s, 0.05, BandOptions())
+        assert res.region_lower == res.region_upper == est.region_lower
+        assert res.band_lower == est.band_lower
+        assert res.band_upper == est.band_upper
+        assert res.se_lower == res.se_upper == est.se_lower
 
     def test_manski_max_matches_the_delta_method_band(self):
         s = random_stats(np.random.default_rng(201))
         res = compute_band(s, "manski-max", 0.05)
         direct = delta_method_band(s, extrema_support(s), 0.05)
-        assert res.region_lower == direct.region.lower
-        assert res.region_upper == direct.region.upper
+        assert res.region_lower == direct.region_lower
+        assert res.region_upper == direct.region_upper
         assert res.band_lower == direct.band_lower
         assert res.band_upper == direct.band_upper
         assert res.support == extrema_support(s)
@@ -177,11 +176,11 @@ class TestComputeBand:
 
     def test_concentration_methods_match_the_builders(self):
         s = random_stats(np.random.default_rng(203), n_lo=60)
-        for method, builder in (("iid", iid_band), ("mixing", mixing_band)):
+        for method, builder in (("iid", BUILDERS["iid"]), ("mixing", BUILDERS["mixing"])):
             res = compute_band(s, method, 0.05, BandOptions(c_alpha=0.25))
-            direct = builder(s, PaddingConfig(alpha_u=0.05, c_alpha=0.25))
-            assert res.band_lower == direct.lower
-            assert res.band_upper == direct.upper
+            direct = builder(s, 0.05, BandOptions(c_alpha=0.25))
+            assert res.band_lower == direct.band_lower
+            assert res.band_upper == direct.band_upper
             assert res.paddings == direct.paddings
 
     def test_concentration_region_uses_the_unpadded_support(self):
@@ -194,9 +193,9 @@ class TestComputeBand:
     def test_hybrid_matches_the_builder(self):
         s = random_stats(np.random.default_rng(205))
         res = compute_band(s, "hybrid", 0.05, BandOptions(c_alpha=0.5))
-        direct = hybrid_band(s, 0.05, c_alpha=0.5)
-        assert res.band_lower == direct.lower
-        assert res.band_upper == direct.upper
+        direct = BUILDERS["hybrid"](s, 0.05, BandOptions(c_alpha=0.5))
+        assert res.band_lower == direct.band_lower
+        assert res.band_upper == direct.band_upper
         assert res.se_lower == direct.se_lower
         assert res.support == direct.support
 
