@@ -8,8 +8,8 @@ identical scans produce byte-identical files.
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .sequential import ScanResult
 
@@ -134,7 +134,7 @@ def render_band_chart(result: ScanResult, path: str | Path, title: str | None = 
     label = title or f"{result.method} band, alpha {result.alpha:g}"
     parts.append(
         f'<text x="{MARGIN_LEFT}" y="{MARGIN_TOP - 14}" font-size="14" '
-        f'font-family="sans-serif">{escape(label)}</text>'
+        f'font-family="sans-serif">{escape(label, quote=False)}</text>'
     )
     parts.append(
         f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) // 2}" y="{HEIGHT - 10}" '

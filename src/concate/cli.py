@@ -21,13 +21,7 @@ from . import __version__
 from .bands import BandOptions, METHODS, compute_band
 from .charts import render_band_chart
 from .concentration import BernsteinConstants, Truncation
-from .errors import (
-    ConcateError,
-    DataError,
-    DegenerateArmError,
-    EmptyScanError,
-    ValidationError,
-)
+from .errors import ConcateError, DataError, ValidationError
 from .estimators import VARIANCE_MODES, group_stats
 from .montecarlo import (
     MANSKI_VARIANTS,
@@ -39,9 +33,6 @@ from .panel import PanelSchema, assign_treatment, load_csv, rolling_correlation,
 from .sequential import DEFAULT_MIN_GROUP, ScanResult, ThresholdGrid, scan
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_DATA = 3
-EXIT_DEGENERATE = 4
 
 RNG_DESCRIPTION = (
     "numpy PCG64 seeded by SeedSequence(entropy=seed, "
@@ -92,22 +83,30 @@ def _add_panel_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: The float band flags as (``--config`` section, field, flag, help).  The
+#: section None is the top level of the file and of BandOptions.
+BAND_FLAGS = (
+    (None, "c_alpha", "--c-alpha", "mixing constant"),
+    (None, "c_abs", "--c-abs", None),
+    (None, "mean_bound_treated", "--m-treated", "treated mean bound"),
+    (None, "mean_bound_control", "--m-control", "control mean bound"),
+    ("bernstein", "c1", "--bernstein-c1", None),
+    ("bernstein", "c2", "--bernstein-c2", None),
+    ("bernstein", "c3", "--bernstein-c3", None),
+    ("bernstein", "c4", "--bernstein-c4", None),
+    ("bernstein", "gamma", "--bernstein-gamma", None),
+    ("bernstein", "long_run_var", "--long-run-var", None),
+    ("truncation", "lower", "--truncation-lower", None),
+    ("truncation", "upper", "--truncation-upper", None),
+)
+
+
 def _add_band_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", default="hybrid", choices=METHODS)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--config", default=None, help="JSON file with band options")
-    parser.add_argument("--c-alpha", type=float, default=None, help="mixing constant")
-    parser.add_argument("--c-abs", type=float, default=None)
-    parser.add_argument("--m-treated", type=float, default=None, help="treated mean bound")
-    parser.add_argument("--m-control", type=float, default=None, help="control mean bound")
-    parser.add_argument("--bernstein-c1", type=float, default=None)
-    parser.add_argument("--bernstein-c2", type=float, default=None)
-    parser.add_argument("--bernstein-c3", type=float, default=None)
-    parser.add_argument("--bernstein-c4", type=float, default=None)
-    parser.add_argument("--bernstein-gamma", type=float, default=None)
-    parser.add_argument("--long-run-var", type=float, default=None)
-    parser.add_argument("--truncation-lower", type=float, default=None)
-    parser.add_argument("--truncation-upper", type=float, default=None)
+    for _, _, flag, help_text in BAND_FLAGS:
+        parser.add_argument(flag, type=float, default=None, help=help_text)
     parser.add_argument("--variance-mode", default=None, choices=VARIANCE_MODES)
 
 
@@ -125,21 +124,28 @@ def _load_panel(args: argparse.Namespace):
     return panel
 
 
-def _config_section(file_cfg: dict, key: str) -> dict:
-    section = file_cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"{key} config must be a JSON object, got {section!r}")
-    return dict(section)
+def _config_object(value: object, cls: type, name: str) -> dict:
+    """``value`` as keyword arguments of ``cls``: a JSON object whose keys
+    are all ``init`` fields of the dataclass."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - {f.name for f in fields(cls) if f.init}
+    if unknown:
+        raise ValidationError(f"{name} has unknown keys: {sorted(unknown)}")
+    return dict(value)
 
 
 def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
-    """Merge defaults, an optional JSON config file, and explicit flags.
+    """Check the level, then merge defaults, an optional JSON config file,
+    and explicit flags.
 
     Precedence: flags beat the file, the file beats the defaults, which
-    are BandOptions' and BernsteinConstants' own.  Every value is checked
-    when the options are built, before any panel is read.
+    are BandOptions', BernsteinConstants' and Truncation's own.  Every
+    value is checked when the options are built, before any panel is read.
     """
-    file_cfg: dict = {}
+    if not 0.0 < args.alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {args.alpha}")
+    file_cfg: object = {}
     if args.config is not None:
         try:
             file_cfg = json.loads(Path(args.config).read_text())
@@ -147,40 +153,24 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
             raise DataError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {args.config}: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ValidationError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_cfg) - {f.name for f in fields(BandOptions)}
-        if unknown:
-            raise ValidationError(f"config file has unknown keys: {sorted(unknown)}")
-
-    bern_cfg = _config_section(file_cfg, "bernstein")
-    unknown = set(bern_cfg) - {f.name for f in fields(BernsteinConstants)}
-    if unknown:
-        raise ValidationError(f"bernstein config has unknown keys: {sorted(unknown)}")
-    bern_flags = {key: getattr(args, f"bernstein_{key}") for key in ("c1", "c2", "c3", "c4")}
-    bern_flags["gamma"] = args.bernstein_gamma
-    bern_flags["long_run_var"] = args.long_run_var
-    bern_cfg.update((key, flag) for key, flag in bern_flags.items() if flag is not None)
-    bernstein = BernsteinConstants(**bern_cfg)
-
-    trunc_cfg = _config_section(file_cfg, "truncation")
-    lower = args.truncation_lower if args.truncation_lower is not None else trunc_cfg.get("lower")
-    upper = args.truncation_upper if args.truncation_upper is not None else trunc_cfg.get("upper")
-    if upper is not None and lower is None:
+    knobs = _config_object(file_cfg, BandOptions, f"config file {args.config}")
+    sections = {None: knobs}
+    for section, cls in (("bernstein", BernsteinConstants), ("truncation", Truncation)):
+        sections[section] = _config_object(knobs.pop(section, {}), cls, f"{section} config")
+    for section, name, flag, _ in BAND_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            sections[section][name] = value
+    if args.variance_mode is not None:
+        knobs["variance_mode"] = args.variance_mode
+    truncation = sections["truncation"]
+    if truncation.get("upper") is not None and truncation.get("lower") is None:
         raise ValidationError("--truncation-upper requires --truncation-lower")
-    kind = "none" if lower is None else "lower" if upper is None else "both"
-    truncation = Truncation(kind=kind, lower=lower, upper=upper)
-
-    flags = {
-        "c_alpha": args.c_alpha,
-        "c_abs": args.c_abs,
-        "mean_bound_treated": args.m_treated,
-        "mean_bound_control": args.m_control,
-        "variance_mode": args.variance_mode,
-    }
-    knobs = {key: file_cfg[key] for key in flags if key in file_cfg}
-    knobs.update((key, flag) for key, flag in flags.items() if flag is not None)
-    options = BandOptions(bernstein=bernstein, truncation=truncation, **knobs)
+    options = BandOptions(
+        bernstein=BernsteinConstants(**sections["bernstein"]),
+        truncation=Truncation(**truncation),
+        **knobs,
+    )
     return options, {"method": args.method, "alpha": args.alpha, **asdict(options)}
 
 
@@ -269,8 +259,6 @@ def _band_payload(band) -> dict:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {args.alpha}")
     options, resolved = _resolve_band_options(args)
     resolved["tau"] = args.tau
     panel = _load_panel(args)
@@ -359,8 +347,6 @@ def _scan_payload(result: ScanResult) -> dict:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {args.alpha}")
     options, resolved = _resolve_band_options(args)
     grid = ThresholdGrid.from_spec(args.grid)
     schedule = None
@@ -411,8 +397,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {args.alpha}")
     if args.dgp.strip().lower() == "all":
         designs = list(MC_DESIGNS)
     else:
@@ -521,21 +505,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateArmError, EmptyScanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ConcateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

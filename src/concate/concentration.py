@@ -30,7 +30,6 @@ from .manski import (
 from .stats import long_run_variance
 
 SIDES = ("one", "two")
-TRUNCATION_KINDS = ("none", "lower", "both")
 
 
 def _finite(name: str, value: object) -> float:
@@ -68,39 +67,30 @@ class BernsteinConstants:
 
 @dataclass(frozen=True)
 class Truncation:
-    """What is known a priori about the outcome support."""
+    """What is known a priori about the outcome support.
 
-    kind: str = "none"
+    ``lower`` and ``upper`` are the known limits, ``None`` where unknown; an
+    upper limit needs a lower one.  ``kind`` is derived from them: "none",
+    "lower" or "both".
+    """
+
+    kind: str = field(init=False)
     lower: float | None = None
     upper: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in TRUNCATION_KINDS:
-            raise ValidationError(f"truncation kind must be one of {TRUNCATION_KINDS}")
         for name in ("lower", "upper"):
             if getattr(self, name) is not None:
                 _finite(f"truncation {name} limit", getattr(self, name))
-        if self.kind in ("lower", "both") and self.lower is None:
-            raise ValidationError(f"truncation kind {self.kind!r} needs a lower limit")
-        if self.kind == "both":
-            if self.upper is None:
-                raise ValidationError("truncation kind 'both' needs an upper limit")
+        if self.upper is not None:
+            if self.lower is None:
+                raise ValidationError("a truncation upper limit needs a lower limit")
             if self.lower > self.upper:
                 raise ValidationError(
                     f"known support has lower {self.lower} > upper {self.upper}"
                 )
-
-    @classmethod
-    def none(cls) -> "Truncation":
-        return cls()
-
-    @classmethod
-    def lower_known(cls, lower: float) -> "Truncation":
-        return cls(kind="lower", lower=lower)
-
-    @classmethod
-    def both_known(cls, lower: float, upper: float) -> "Truncation":
-        return cls(kind="both", lower=lower, upper=upper)
+        kind = "none" if self.lower is None else "lower" if self.upper is None else "both"
+        object.__setattr__(self, "kind", kind)
 
 
 @dataclass(frozen=True)

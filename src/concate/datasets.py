@@ -65,12 +65,10 @@ def make_tipping_demo_panel(seed: int = TIPPING_DEMO_SEED) -> PanelDataset:
     signal = signal[order]
     outcome = outcome[order]
     n_periods = 4
-    n_units = signal.size // n_periods
     unit = np.array(
         [f"firm{1 + i // n_periods:04d}" for i in range(signal.size)], dtype=object
     )
     time = np.array([1 + i % n_periods for i in range(signal.size)], dtype=np.int64)
-    assert signal.size == n_units * n_periods
     return PanelDataset(unit=unit, time=time, outcome=outcome, signal=signal)
 
 

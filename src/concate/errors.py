@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: validation problems exit 2,
-data problems exit 3, degenerate-statistics problems exit 4.
+The CLI exits with the raised class's ``exit_code``: 2 for validation
+problems, 3 for data problems, 4 for degenerate statistics.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 class ConcateError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class ValidationError(ConcateError):
@@ -21,6 +23,8 @@ class ConfigurationError(ValidationError):
 
 class DataError(ConcateError):
     """Input data violate a contract (bad cell, inconsistent bound, duplicate key)."""
+
+    exit_code = 3
 
 
 class SchemaError(DataError):
@@ -39,6 +43,10 @@ class DegenerateArmError(ConcateError):
     """One treatment arm is empty (or too small for a variance), so the
     identification region is degenerate at this threshold."""
 
+    exit_code = 4
+
 
 class EmptyScanError(ConcateError):
     """Every threshold on the grid was skipped, leaving nothing to report."""
+
+    exit_code = 4

@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -336,6 +335,8 @@ def run_cell(
 
     if not 1 <= n_reps <= MAX_REPS:
         raise ValidationError(f"n_reps must lie in [1, {MAX_REPS:,}], got {n_reps}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
         raise ValidationError(f"base_seed must be a non-negative integer, got {base_seed!r}")
     if manski_variant not in MANSKI_VARIANTS:
@@ -439,6 +440,9 @@ def coverage_table(
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         return [_run_cell_task(task) for task in tasks]
+    # Imported here: multiprocessing is not needed by a serial run or by the CLI's import.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell_task, tasks))
 

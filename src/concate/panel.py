@@ -50,7 +50,6 @@ class PanelDataset:
     signal: np.ndarray
     group: np.ndarray | None = None
     n_dropped: int = 0
-    source: str | None = None
 
     def __post_init__(self) -> None:
         n = len(self.outcome)
@@ -105,7 +104,6 @@ class PanelDataset:
             signal=self.signal[mask],
             group=self.group[mask],
             n_dropped=self.n_dropped,
-            source=self.source,
         )
 
 
@@ -113,7 +111,6 @@ class PanelDataset:
 class TreatmentAssignment:
     """Threshold rule Z = 1{signal >= threshold} evaluated on a panel."""
 
-    threshold: float
     treated: np.ndarray
     n_treated: int
     n_control: int
@@ -274,7 +271,6 @@ def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
         signal=signal,
         group=group,
         n_dropped=keep.size - n_kept,
-        source=str(path),
     )
 
 
@@ -328,7 +324,6 @@ def _load_rows(path: Path, schema: PanelSchema) -> PanelDataset:
         signal=np.array(signals, dtype=float),
         group=np.array(groups, dtype=object) if schema.group is not None else None,
         n_dropped=dropped,
-        source=str(path),
     )
 
 
@@ -341,7 +336,6 @@ def assign_treatment(panel: PanelDataset, threshold: float) -> TreatmentAssignme
     treated = panel.signal >= threshold
     n1 = int(treated.sum())
     return TreatmentAssignment(
-        threshold=float(threshold),
         treated=treated,
         n_treated=n1,
         n_control=panel.n - n1,

@@ -158,10 +158,11 @@ def scan(
     """Evaluate the chosen band at every threshold, then find the tipping point.
 
     A threshold is skipped (never silently dropped) when either arm falls
-    below min_group or the band degenerates there.  All grid points are
-    always evaluated; the tipping threshold is the smallest retained one
-    whose band excludes zero.  Raises EmptyScanError when nothing is
-    retained.  Looks run on at most min(workers, looks, CPUs) threads.
+    below min_group, or the band degenerates or cannot be calibrated at
+    its per-look level there.  All grid points are always evaluated; the
+    tipping threshold is the smallest retained one whose band excludes
+    zero.  Raises EmptyScanError when nothing is retained.  Looks run on
+    at most min(workers, looks, CPUs) threads.
     """
     if min_group < 0:
         raise ValidationError(f"min_group must be nonnegative, got {min_group}")
@@ -192,7 +193,7 @@ def scan(
         stats = group_stats(panel, assignment)
         try:
             band = compute_band(stats, method, alpha_u, options)
-        except DegenerateArmError as exc:
+        except (DegenerateArmError, ConfigurationError) as exc:
             return row(None, str(exc))
         return row(band)
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,11 +15,21 @@ import numpy as np
 import pytest
 
 import concate
+from concate import cli
 from concate.bands import METHODS, BandOptions, compute_band
-from concate.cli import RNG_DESCRIPTION, main
-from concate.concentration import Truncation
+from concate.cli import BAND_FLAGS, RNG_DESCRIPTION, main
+from concate.concentration import BernsteinConstants, Truncation
 from concate.datasets import make_null_panel, make_tipping_demo_panel, write_panel_csv
-from concate.errors import ConcateError
+from concate.errors import (
+    ConcateError,
+    ConfigurationError,
+    DataError,
+    DegenerateArmError,
+    EmptyScanError,
+    RowError,
+    SchemaError,
+    ValidationError,
+)
 from concate.estimators import group_stats, split_arms
 from concate.panel import assign_treatment, load_csv, rolling_correlation, summary_stats
 
@@ -242,6 +253,10 @@ class TestBandConfig:
             ({"c_alpha": True}, "c_alpha must be a finite number, got True"),
             ({"truncation": {"lower": "a"}}, "truncation lower limit must be a finite number"),
             ({"bernstein": [1]}, "bernstein config must be a JSON object"),
+            ({"truncation": {"lowr": 0}}, "truncation config has unknown keys: ['lowr']"),
+            ({"truncation": {"kind": "both", "lower": 0}}, "truncation config has unknown keys"),
+            ({"bernstein": {"c9": 1}}, "bernstein config has unknown keys: ['c9']"),
+            ({"foo": 1}, "has unknown keys: ['foo']"),
             (["--c-abs", "-1"], "c_abs must be positive"),
             ({"mean_bound_treated": -3}, "mean_bound_treated must be nonnegative"),
             ({"variance_mode": "pooled"}, "variance_mode must be one of"),
@@ -261,6 +276,20 @@ class TestBandConfig:
         assert message in err
         assert "Traceback" not in err
 
+    def test_every_float_knob_has_exactly_one_flag_and_each_flag_sets_its_field(self):
+        not_float = {"bernstein", "truncation", "variance_mode"}
+        knobs = [(None, f.name) for f in dataclasses.fields(BandOptions) if f.name not in not_float]
+        for section, cls in (("bernstein", BernsteinConstants), ("truncation", Truncation)):
+            knobs += [(section, f.name) for f in dataclasses.fields(cls) if f.init]
+        declared = [(section, name) for section, name, _, _ in BAND_FLAGS]
+        assert sorted(declared, key=str) == sorted(knobs, key=str)
+        parser = cli.build_parser()
+        for i, (section, name, flag, _) in enumerate(BAND_FLAGS, start=1):
+            argv = ["bounds", "p.csv", "--tau", "50", "--truncation-lower", "0", flag, str(i / 20)]
+            options, _ = cli._resolve_band_options(parser.parse_args(argv))
+            owner = options if section is None else getattr(options, section)
+            assert getattr(owner, name) == i / 20
+
 
 def truncation_split(n1, n0):
     """Arms of n1 treated and n0 control outcomes: treated in [-1, 3], control in [-0.5, 0.5]."""
@@ -269,11 +298,11 @@ def truncation_split(n1, n0):
 
 
 TRUNCATIONS = {
-    "none": Truncation.none(),
-    "lower -10": Truncation.lower_known(-10.0),
-    "lower 5": Truncation.lower_known(5.0),
-    "both -10 10": Truncation.both_known(-10.0, 10.0),
-    "both -10 2.5": Truncation.both_known(-10.0, 2.5),
+    "none": Truncation(),
+    "lower -10": Truncation(lower=-10.0),
+    "lower 5": Truncation(lower=5.0),
+    "both -10 10": Truncation(lower=-10.0, upper=10.0),
+    "both -10 2.5": Truncation(lower=-10.0, upper=2.5),
 }
 ARM_SIZES = (0, 1, 2, 3, 30)
 
@@ -459,6 +488,25 @@ class TestScan:
         rc = main(["scan", demo_csv(tmp_path), "--grid", "60:95:5"])
         assert rc == 4
         assert "N/A" in capsys.readouterr().err
+
+    def test_a_look_that_cannot_be_calibrated_is_skipped_not_fatal(self, tmp_path, capsys):
+        """At alpha_u = 0.042 the mixing band's third Bernstein term never
+        reaches its budget on an arm of 2; the eight looks before it stand."""
+        rows = "".join(f"u{i},1,{(i * 7) % 5 + 0.5},{i + 0.5}\n" for i in range(60))
+        path = write(tmp_path, "unit_id,time,outcome,signal\n" + rows)
+        schedule = ",".join(["0.001"] * 8 + ["0.042"])
+        rc = main(["scan", path, "--method", "mixing", "--min-group", "2", "--grid", "50:58:1",
+                   "--alpha-schedule", schedule])
+        captured = capsys.readouterr()
+        assert rc == 0
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines[:9]] == [f"tau {t:>5}" for t in range(50, 59)]
+        assert all(": band [" in line for line in lines[:8])
+        assert lines[8] == (
+            "tau    58: skipped (third Bernstein term never reaches its budget "
+            "for this configuration)"
+        )
+        assert captured.err == ""
 
     def test_bad_schedule_text(self, tmp_path, capsys):
         rc = main(["scan", demo_csv(tmp_path), "--alpha-schedule", "0.01,x"])
@@ -659,6 +707,28 @@ class TestSimulate:
         assert not out.exists()
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        ("error", "code"),
+        [
+            (ValidationError("bad knob"), 2),
+            (ConfigurationError("bad knob"), 2),
+            (DataError("bad knob"), 3),
+            (SchemaError("bad knob"), 3),
+            (RowError(7, "bad knob"), 3),
+            (DegenerateArmError("bad knob"), 4),
+            (EmptyScanError("bad knob"), 4),
+        ],
+    )
+    def test_each_error_class_carries_its_exit_code(self, monkeypatch, capsys, error, code):
+        def command(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_describe", command)
+        assert main(["describe", "panel.csv"]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -680,11 +750,13 @@ class TestParser:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    """Nor numpy.random: only the coverage experiment builds generators."""
+    """Nor numpy.random: only the coverage experiment builds generators.  Nor
+    xml, urllib.request or multiprocessing: the chart escapes with html and
+    only a pooled coverage table starts processes."""
     code = (
         "import sys, concate.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m.startswith('numpy.random')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'xml') "
+        "or m.startswith(('numpy.random', 'urllib.request', 'multiprocessing'))))"
     )
     src = str(Path(concate.__file__).resolve().parents[1])
     proc = subprocess.run(

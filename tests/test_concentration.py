@@ -1,6 +1,7 @@
 """Tests for the finite-sample padding formulas and band assemblies."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -220,18 +221,25 @@ class TestBernsteinMixing:
 
 class TestTruncation:
     def test_factories(self):
-        assert Truncation.none().kind == "none"
-        assert Truncation.lower_known(0.0).lower == 0.0
-        both = Truncation.both_known(-1.0, 1.0)
+        assert Truncation().kind == "none"
+        assert Truncation(lower=0.0).lower == 0.0
+        both = Truncation(lower=-1.0, upper=1.0)
         assert both.kind == "both" and both.upper == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            Truncation(kind="upper")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="upper limit needs a lower limit"):
+            Truncation(upper=1.0)
+        with pytest.raises(ValidationError, match="known support has lower 2.0 > upper -2.0"):
+            Truncation(lower=2.0, upper=-2.0)
+        with pytest.raises(ValidationError, match="truncation upper limit must be a finite"):
+            Truncation(lower=0.0, upper=math.inf)
+
+    def test_kind_is_derived_from_the_limits(self):
+        with pytest.raises(TypeError):
             Truncation(kind="lower")
-        with pytest.raises(ValidationError):
-            Truncation.both_known(2.0, -2.0)
+        assert Truncation(lower=0.0).kind == "lower"
+        assert Truncation(lower=0.0, upper=0.0).kind == "both"
+        assert asdict(Truncation(lower=1.0)) == {"kind": "lower", "lower": 1.0, "upper": None}
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -339,7 +347,7 @@ class TestIidBand:
     def test_lower_known_uses_the_limit_unpadded(self):
         rng = np.random.default_rng(101)
         s = random_stats(rng, positive=True)
-        config = BandOptions(truncation=Truncation.lower_known(0.0))
+        config = BandOptions(truncation=Truncation(lower=0.0))
         band = compute_band(s, "iid", 0.05, config)
         assert band.support.lower_treated == 0.0
         assert band.support.lower_control == 0.0
@@ -353,7 +361,7 @@ class TestIidBand:
             s = random_stats(rng, positive=True)
             plain = compute_band(s, "iid", 0.05)
             known = compute_band(
-                s, "iid", 0.05, BandOptions(truncation=Truncation.lower_known(0.0))
+                s, "iid", 0.05, BandOptions(truncation=Truncation(lower=0.0))
             )
             assert known.paddings.eps_treated < plain.paddings.eps_treated
             assert known.paddings.eps_control < plain.paddings.eps_control
@@ -363,7 +371,7 @@ class TestIidBand:
 
     def test_inconsistent_lower_limit_raises(self):
         s = stats_from([1.0, 2.0], [3.0, 4.0])
-        config = BandOptions(truncation=Truncation.lower_known(1.5))
+        config = BandOptions(truncation=Truncation(lower=1.5))
         with pytest.raises(DataError):
             compute_band(s, "iid", 0.05, config)
 
@@ -372,7 +380,7 @@ class TestIidBand:
         s = random_stats(rng)
         lo = float(min(s.min_treated, s.min_control)) - 1.0
         hi = float(max(s.max_treated, s.max_control)) + 1.0
-        config = BandOptions(truncation=Truncation.both_known(lo, hi))
+        config = BandOptions(truncation=Truncation(lower=lo, upper=hi))
         band = compute_band(s, "iid", 0.05, config)
         reference = delta_method_band(s, known_support(lo, hi), 0.05)
         assert band.support.source == "known"
@@ -436,7 +444,7 @@ class TestMixingBand:
     def test_lower_known_one_sided_budget(self):
         rng = np.random.default_rng(109)
         s = random_stats(rng, positive=True, arm_min=5)
-        config = BandOptions(c_alpha=0.5, truncation=Truncation.lower_known(0.0))
+        config = BandOptions(c_alpha=0.5, truncation=Truncation(lower=0.0))
         band = compute_band(s, "mixing", 0.05, config)
         assert band.support.lower_treated == 0.0
         assert band.paddings.eps_treated == dkw_epsilon(
@@ -449,7 +457,7 @@ class TestMixingBand:
         s = random_stats(rng, arm_min=5)
         lo = float(min(s.min_treated, s.min_control)) - 1.0
         hi = float(max(s.max_treated, s.max_control)) + 1.0
-        config = BandOptions(truncation=Truncation.both_known(lo, hi))
+        config = BandOptions(truncation=Truncation(lower=lo, upper=hi))
         band = compute_band(s, "mixing", 0.05, config)
         assert band.support.source == "known"
         assert band.method == "mixing"

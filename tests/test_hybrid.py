@@ -113,7 +113,7 @@ class TestHybridBand:
     def test_lower_known_halves_the_budget_and_skips_lower_padding(self):
         rng = np.random.default_rng(128)
         s = random_stats(rng, positive=True)
-        options = BandOptions(truncation=Truncation.lower_known(0.0))
+        options = BandOptions(truncation=Truncation(lower=0.0))
         band = compute_band(s, "hybrid", 0.05, options)
         assert band.support.lower_treated == 0.0
         assert band.support.lower_control == 0.0
@@ -126,7 +126,7 @@ class TestHybridBand:
         s = stats_from([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(DataError):
             compute_band(
-                s, "hybrid", 0.05, BandOptions(truncation=Truncation.lower_known(1.5))
+                s, "hybrid", 0.05, BandOptions(truncation=Truncation(lower=1.5))
             )
 
     def test_both_known_reduces_to_delta_method(self):
@@ -134,7 +134,7 @@ class TestHybridBand:
         s = random_stats(rng)
         lo = float(min(s.min_treated, s.min_control)) - 1.0
         hi = float(max(s.max_treated, s.max_control)) + 1.0
-        options = BandOptions(truncation=Truncation.both_known(lo, hi))
+        options = BandOptions(truncation=Truncation(lower=lo, upper=hi))
         band = compute_band(s, "hybrid", 0.05, options)
         assert band.support.source == "known"
         # the reduction inherits the delta-method budget, not alpha_u / 4

@@ -1,5 +1,6 @@
 """Tests for the outcome designs and the coverage experiment."""
 
+import concurrent.futures
 import math
 import warnings
 
@@ -335,6 +336,15 @@ class TestRunCell:
         with pytest.raises(ValidationError, match="1,000,000"):
             run_cell(spec, n_reps=MAX_REPS + 1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_levels_outside_the_unit_interval_are_rejected_before_drawing(
+        self, monkeypatch, alpha
+    ):
+        monkeypatch.setattr(montecarlo, "generate", None)
+        for design in ("A", "F"):
+            with pytest.raises(ValidationError, match="alpha must lie in"):
+                run_cell(DgpSpec(design=design), n_reps=10, alpha=alpha)
+
     @pytest.mark.parametrize("n_units, periods", [(1, 1), (3, 1), (1, 3), (2, 1)])
     def test_cells_too_small_for_two_per_arm_are_rejected_up_front(
         self, monkeypatch, n_units, periods
@@ -483,7 +493,7 @@ class TestCoverageTable:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         kwargs = dict(designs=["A", "G"], n_reps=5, base_seed=5)
         serial = coverage_table(periods_list=[1, 2, 5], **kwargs)

@@ -49,7 +49,6 @@ class TestLoadCsv:
         assert list(panel.time) == [1, 2, 1]
         assert panel.outcome.dtype == np.float64
         assert abs(panel.outcome[1] - 11.0) < 1e-12
-        assert panel.source == str(path)
         assert list(panel.times()) == [1, 2]
 
     def test_missing_outcome_dropped_and_counted(self, tmp_path):
@@ -184,7 +183,7 @@ def _assert_same(got, want):
         else:
             assert a.dtype == b.dtype
             assert a.tolist() == b.tolist()
-    assert (got.n_dropped, got.source) == (want.n_dropped, want.source)
+    assert got.n_dropped == want.n_dropped
 
 
 GROUP_HEADER = "unit_id,time,outcome,signal,sector\n"

@@ -201,14 +201,14 @@ class TestComputeBand:
 
     def test_truncation_reaches_the_truncation_methods(self):
         s = random_stats(np.random.default_rng(206), n_lo=60)
-        trunc = Truncation(kind="both", lower=-50.0, upper=50.0)
+        trunc = Truncation(lower=-50.0, upper=50.0)
         for method in ("iid", "mixing", "hybrid"):
             res = compute_band(s, method, 0.05, BandOptions(truncation=trunc))
             assert res.support.source == "known"
 
     def test_truncation_is_rejected_elsewhere(self):
         s = random_stats(np.random.default_rng(207))
-        trunc = Truncation(kind="lower", lower=-50.0)
+        trunc = Truncation(lower=-50.0)
         for method in ("naive", "manski-max", "manski-q05", "manski-q10"):
             with pytest.raises(ValidationError):
                 compute_band(s, method, 0.05, BandOptions(truncation=trunc))
