@@ -165,7 +165,11 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
         knobs["variance_mode"] = args.variance_mode
     truncation = sections["truncation"]
     if truncation.get("upper") is not None and truncation.get("lower") is None:
-        raise ValidationError("--truncation-upper requires --truncation-lower")
+        if args.truncation_upper is not None:
+            raise ValidationError("--truncation-upper requires --truncation-lower")
+        raise ValidationError(
+            f"config file {args.config}: truncation.upper requires truncation.lower"
+        )
     options = BandOptions(
         bernstein=BernsteinConstants(**sections["bernstein"]),
         truncation=Truncation(**truncation),

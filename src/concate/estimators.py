@@ -120,6 +120,12 @@ def empirical_quantile(values_sorted: np.ndarray, p: float) -> float:
         raise DegenerateArmError("cannot take a quantile of an empty arm")
     if x.size > 1 and np.any(np.diff(x) < 0.0):
         raise ValidationError("values must be sorted ascending")
+    return _order_statistic(x, p)
+
+
+def _order_statistic(x: np.ndarray, p: float) -> float:
+    """:func:`empirical_quantile` of a non-empty array the caller sorted
+    itself, as ``GroupStats`` sorts its arms, with no checks."""
     k = p * x.size
     nearest = round(k)
     # guard against float fuzz when p * n is an exact integer mathematically

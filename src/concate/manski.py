@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArmError, ValidationError
-from .estimators import GroupStats, empirical_quantile
+from .estimators import GroupStats, _order_statistic
 from .stats import norm_ppf
 
 
@@ -135,10 +135,10 @@ def trimmed_support(stats: GroupStats, p: float) -> SupportBounds:
     if stats.degenerate:
         raise DegenerateArmError("trimmed support needs both arms non-empty")
     return SupportBounds(
-        lower_treated=empirical_quantile(stats.treated_sorted, p),
-        upper_treated=empirical_quantile(stats.treated_sorted, 1.0 - p),
-        lower_control=empirical_quantile(stats.control_sorted, p),
-        upper_control=empirical_quantile(stats.control_sorted, 1.0 - p),
+        lower_treated=_order_statistic(stats.treated_sorted, p),
+        upper_treated=_order_statistic(stats.treated_sorted, 1.0 - p),
+        lower_control=_order_statistic(stats.control_sorted, p),
+        upper_control=_order_statistic(stats.control_sorted, 1.0 - p),
         source=f"trimmed-{p:g}",
     )
 

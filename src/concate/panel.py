@@ -5,13 +5,19 @@ The expected CSV layout is one row per unit and time period with columns
 through :class:`PanelSchema`.  Rows with a missing outcome or signal are
 dropped listwise and counted; structurally broken rows (bad unit or time,
 unparseable or infinite numbers, out-of-range signals) raise instead.
+
+Ingest runs numpy's C tokenizer over the whole file.  A file it would read
+differently from the csv module and int()/float(), or one with a row to
+reject, goes to a row-by-row parser, which is the only error reporter.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +29,8 @@ MISSING_MARKERS = frozenset({"", ".", "NA", "N/A", "NaN", "nan", "NAN", "null", 
 
 SIGNAL_MIN = 0.0
 SIGNAL_MAX = 100.0
+
+_TIME_RANGE = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -138,16 +146,18 @@ class SummaryStats:
 def _parse_time(raw: str, line_number: int) -> int:
     s = raw.strip()
     try:
-        return int(s)
+        value = int(s)
     except ValueError:
-        pass
-    try:
-        x = float(s)
-    except ValueError:
-        raise RowError(line_number, f"time index {raw!r} is not an integer") from None
-    if not x.is_integer():
-        raise RowError(line_number, f"time index {raw!r} is not an integer")
-    return int(x)
+        try:
+            x = float(s)
+        except ValueError:
+            raise RowError(line_number, f"time index {raw!r} is not an integer") from None
+        if not x.is_integer():
+            raise RowError(line_number, f"time index {raw!r} is not an integer")
+        value = int(x)
+    if not _TIME_RANGE.min <= value <= _TIME_RANGE.max:
+        raise RowError(line_number, f"time index {raw!r} is outside the int64 range")
+    return value
 
 
 def _parse_numeric(raw: str, column: str, line_number: int) -> float | None:
@@ -172,6 +182,9 @@ def load_csv(path: str | Path, schema: PanelSchema | None = None) -> PanelDatase
     Raises SchemaError when a mapped column is absent, RowError (with the
     1-based physical line number) for unparseable or infinite cells, and
     DataError for out-of-range signals or duplicate (unit_id, time) pairs.
+
+    :func:`_load_columns` reads the file with numpy's C tokenizer; when it
+    declines, :func:`_load_rows` reads it again and reports any error.
     """
     schema = schema or PanelSchema()
     path = Path(path)
@@ -179,78 +192,153 @@ def load_csv(path: str | Path, schema: PanelSchema | None = None) -> PanelDatase
     return panel if panel is not None else _load_rows(path, schema)
 
 
-#: Each missing marker mapped to a string that float() reads as NaN.
-_MISSING_AS_NAN = dict.fromkeys(MISSING_MARKERS, "nan")
+#: The byte widths of the fast path's text and numeric cells.  numpy cuts a
+#: longer cell short without a word, so a cell that fills its width sends
+#: the file to the row parser.
+_TEXT_WIDTH = 48
+_NUMBER_WIDTH = 32
+
+#: Data rows read first to see which numeric columns hold a missing marker.
+_PROBE_ROWS = 1000
+
+#: The missing markers as byte cells, and the longest of them.
+_MISSING_BYTES = np.array(sorted(m.encode() for m in MISSING_MARKERS))
+_MARKER_LENGTH = _MISSING_BYTES.itemsize
+
+#: Bytes numpy's reader takes differently from the csv module and int(): a
+#: trailing NUL vanishes from a fixed-width byte cell, and numpy's integer
+#: parser skips \x1c-\x1f as blanks.
+_UNREAD_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _float_column(cells: list[str]) -> np.ndarray:
-    """Numeric cells as floats, NaN for a missing marker.
+def _bytes_in(path: Path, needles: tuple[bytes, ...]) -> set[bytes]:
+    """The single bytes of ``needles`` that occur anywhere in the file."""
+    found: set[bytes] = set()
+    with path.open("rb") as fh:
+        for block in iter(partial(fh.read, 1 << 20), b""):
+            found.update(b for b in needles if b in block)
+    return found
 
-    Raises ValueError for any other cell float() rejects, a marker padded
-    with spaces included; the row parser then decides.
+
+def _read_cells(
+    path: Path, formats: list[str], encoding: str, max_rows: int | None = None
+) -> np.ndarray:
+    """One ``np.loadtxt`` pass over the data rows into fields f0, f1, ...
+    of ``formats``, one per header column."""
+    with warnings.catch_warnings():
+        # a file without data rows warns; the row parser reports it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            path, dtype=",".join(formats), delimiter=",", skiprows=1, comments=None,
+            quotechar='"', ndmin=1, encoding=encoding, max_rows=max_rows,
+        )
+
+
+def _number_column(cells: np.ndarray) -> np.ndarray:
+    """Numeric cells as a float64 copy.  Byte cells are cast, NaN for a
+    missing marker, and their markers are overwritten in place.
+
+    The cast parses each byte cell as float() does, so it raises ValueError
+    for any other cell float() rejects, a marker padded with spaces
+    included; the row parser then decides.
     """
-    return np.fromiter(map(float, map(_MISSING_AS_NAN.get, cells, cells)), np.float64, len(cells))
+    if cells.dtype.kind == "S":
+        raw = cells.view(np.dtype((np.uint8, cells.itemsize)))
+        if raw[:, -1].any():
+            raise ValueError("a cell fills its byte width")
+        short = np.flatnonzero(raw[:, _MARKER_LENGTH] == 0)
+        cells[short[np.isin(cells[short], _MISSING_BYTES)]] = b"nan"
+    return cells.astype(np.float64)
+
+
+def _text_column(cells: np.ndarray) -> np.ndarray:
+    """Byte cells as stripped strings in a fixed-width unicode array.
+
+    numpy stores one code point per byte (Latin-1) and rejects a cell with
+    a wider one, so widening each byte decodes the cell.
+    """
+    width = max(int(np.char.str_len(cells).max()), 1)
+    if width == cells.itemsize:
+        raise ValueError("a cell fills its byte width")
+    codes = cells.astype(f"S{width}").view(np.uint8).astype(np.uint32)
+    return np.char.strip(codes.view(f"U{width}"))
 
 
 def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
-    """Fast path of :func:`load_csv`: one pass collecting the mapped cells per
-    column, then one conversion per column.
+    """Fast path of :func:`load_csv`: numpy's C tokenizer reads the file in
+    one ``np.loadtxt`` pass after a probe of its first rows.  Times are
+    read as int64, a numeric column with no missing marker in the probe as
+    float64, and the other mapped columns as fixed-width byte cells, which
+    are then converted whole.
 
-    Returns None for anything the row parser must report or decide: a
-    missing column, a row whose width differs from the header's, any cell
-    that fails to convert, an empty unit, an infinite value, an
-    out-of-range signal on a retained row, or no retained row.  Blank
-    lines are skipped, as ``csv.DictReader`` does, and a duplicated header
-    name maps to its last column, as in ``DictReader``'s row dicts.
+    Returns None for anything the row parser must report or decide, and
+    for anything numpy would read differently from it: a missing column, a
+    header spanning lines, two mapped names on one column, a row whose
+    width differs from the header's, a time that is not an int64 literal
+    (``3.0`` included), a cell that fills its byte width, a NUL or
+    \\x1c-\\x1f byte, a line break inside a unit or group of a file with
+    carriage returns (numpy translates them), a numeric cell float()
+    rejects, an empty unit, an infinite value, an out-of-range signal on a
+    retained row, or no retained row.  Blank lines are skipped, as
+    ``csv.DictReader`` does, and a duplicated header name maps to its last
+    column, as in ``DictReader``'s row dicts.
     """
-    units: list[str] = []
-    times: list[str] = []
-    outcomes: list[str] = []
-    signals: list[str] = []
-    groups: list[str] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return None
-        index = {name: i for i, name in enumerate(header)}
-        required = [schema.unit, schema.time, schema.outcome, schema.signal]
-        if schema.group is not None:
-            required.append(schema.group)
-        if any(name not in index for name in required):
-            return None
-        iu, it, iy, i_s = (index[name] for name in required[:4])
-        ig = index[schema.group] if schema.group is not None else None
-        add_unit, add_time = units.append, times.append
-        add_outcome, add_signal, add_group = outcomes.append, signals.append, groups.append
-        width = len(header)
-        try:
-            for row in reader:
-                if len(row) != width:
-                    if row:
-                        return None
-                    continue
-                add_unit(row[iu])
-                add_time(row[it])
-                add_outcome(row[iy])
-                add_signal(row[i_s])
-                if ig is not None:
-                    add_group(row[ig])
-        except csv.Error:
-            return None
-    # Convert column by column, releasing each list of raw cells once done.
     try:
-        unit = list(map(str.strip, units))
-        del units
-        if "" in unit:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            encoding = fh.encoding
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    if header is None or reader.line_num != 1:
+        return None
+    index = {name: i for i, name in enumerate(header)}
+    names = [schema.unit, schema.time, schema.outcome, schema.signal]
+    if schema.group is not None:
+        names.append(schema.group)
+    if any(name not in index for name in names):
+        return None
+    columns = [index[name] for name in names]
+    if len(set(columns)) < len(columns):
+        return None
+    found = _bytes_in(path, (*_UNREAD_BYTES, b"\r"))
+    if found - {b"\r"}:
+        return None
+    # Fields f0, f1, ... in header order.  An unmapped column is read into
+    # S0, nothing, but every row's width is still checked against the header.
+    text, number = f"S{_TEXT_WIDTH}", f"S{_NUMBER_WIDTH}"
+    formats = ["S0"] * len(header)
+    for i, fmt in zip(columns, (text, "i8", number, number, text)):
+        formats[i] = fmt
+    iu, it, iy, i_s, *ig = (f"f{i}" for i in columns)
+    try:
+        # numpy parses a numeric column with no missing marker in the first
+        # rows to float64 itself, as float() does but without underscores,
+        # which saves the cast; a marker or underscore further down, or
+        # any other cell it rejects, has the file read again as bytes.
+        probe = _read_cells(path, formats, encoding, _PROBE_ROWS)
+        parsed = list(formats)
+        for i in columns[2:4]:
+            if not np.isin(probe[f"f{i}"], _MISSING_BYTES).any():
+                parsed[i] = "f8"
+        try:
+            data = _read_cells(path, parsed, encoding)
+        except ValueError:
+            if parsed == formats:
+                raise
+            data = _read_cells(path, formats, encoding)
+        if data.size == 0:
             return None
-        time = np.array(list(map(int, times)), dtype=np.int64)
-        del times
-        outcome = _float_column(outcomes)
-        del outcomes
-        signal = _float_column(signals)
-        del signals
+        outcome = _number_column(data[iy])
+        signal = _number_column(data[i_s])
+        unit = _text_column(data[iu])
+        group = _text_column(data[ig[0]]) if ig else None
     except (ValueError, OverflowError):
+        return None
+    if not np.char.str_len(unit).all():
+        return None
+    texts = [unit] if group is None else [unit, group]
+    if b"\r" in found and any((np.char.find(t, "\n") >= 0).any() for t in texts):
         return None
     if np.isinf(outcome).any() or np.isinf(signal).any():
         return None
@@ -261,12 +349,16 @@ def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
     signal = signal[keep]
     if ((signal < SIGNAL_MIN) | (signal > SIGNAL_MAX)).any():
         return None
-    group = None
-    if ig is not None:
-        group = np.array([g.strip() or None for g in groups], dtype=object)[keep]
+    time = data[it][keep]
+    # Release the byte cells before the strings are made: a lower peak.
+    del data
+    if group is not None:
+        blank = group[keep] == ""
+        group = group[keep].astype(object)
+        group[blank] = None
     return PanelDataset(
-        unit=np.array(unit, dtype=object)[keep],
-        time=time[keep],
+        unit=unit[keep].astype(object),
+        time=time,
         outcome=outcome[keep],
         signal=signal,
         group=group,

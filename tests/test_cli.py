@@ -187,6 +187,15 @@ class TestBounds:
         assert rc == 2
         assert "truncation-lower" in capsys.readouterr().err
 
+    def test_upper_truncation_alone_in_the_config_file_names_its_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"truncation": {"upper": 5}}')
+        rc = main(["bounds", demo_csv(tmp_path), "--tau", "40", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config file {cfg}: truncation.upper requires truncation.lower" in err
+        assert "--truncation" not in err
+
     def test_validation_exit_codes(self, tmp_path, capsys):
         path = write(tmp_path, SMALL)
         assert main(["bounds", path, "--tau", "40", "--alpha", "0"]) == 2

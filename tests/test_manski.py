@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from concate.bands import compute_band
 from concate.errors import DegenerateArmError, ValidationError
 from concate.estimators import split_arms
 from concate.manski import (
@@ -77,6 +78,17 @@ class TestSupports:
             narrow = manski_region(s, trimmed_support(s, 0.1))
             assert narrow.lower >= wide.lower - 1e-12
             assert narrow.upper <= wide.upper + 1e-12
+
+    def test_quantile_band_trusts_the_arms_split_arms_sorted(self, monkeypatch):
+        # the sortedness check of empirical_quantile scans the whole arm
+        stats = random_stats(np.random.default_rng(5), n_lo=40)
+        want = compute_band(stats, "manski-q05", 0.05)
+
+        def no_diff(*args, **kwargs):
+            raise AssertionError("np.diff called")
+
+        monkeypatch.setattr(np, "diff", no_diff)
+        assert compute_band(stats, "manski-q05", 0.05) == want
 
     def test_trim_proportion_validation(self):
         s = stats_from([1.0, 2.0], [3.0, 4.0])

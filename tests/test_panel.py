@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from concate import panel as panel_module
 from concate.errors import ConcateError, DataError, RowError, SchemaError, ValidationError
 from concate.panel import (
     MISSING_MARKERS,
@@ -218,6 +219,29 @@ INGEST_CASES = [
     ("all rows dropped", HEADER + "f1,1,NA,40\nf2,1,2.5,\n", None, False),
     ("header only", HEADER, None, False),
     ("empty file", "", None, False),
+    ("unit wider than its byte field", HEADER + "f1,1,1.5,40\n" + "u" * 60 + ",1,2.5,60\n", None,
+     False),
+    ("quoted unit and outcome", HEADER + '"a",1,"1.5",40\nb,1,2.5,60\n', None, True),
+    ("quote inside an unquoted unit", HEADER + 'a"b,1,1.5,40\nc,1,2.5,60\n', None, True),
+    ("Latin-1 unit", HEADER + "é,1,1.5,40\nf2,1,2.5,60\n", None, True),
+    ("CJK unit", HEADER + "公司,1,1.5,40\nf2,1,2.5,60\n", None, False),
+    ("CRLF line endings", HEADER.replace("\n", "\r\n") + "f1,1,1.5,40\r\nf2,1,2.5,60\r\n", None,
+     True),
+    ("CRLF inside a quoted unit", HEADER + '"f\r\n1",1,1.5,40\r\nf2,1,2.5,60\r\n', None, False),
+    ("whitespace-only line", HEADER + "f1,1,1.5,40\n   \nf2,1,2.5,60\n", None, False),
+    ("# inside a unit", HEADER + "a#b,1,1.5,40\n#c,1,2.5,60\n", None, True),
+    ("signed and padded times", HEADER + "f1,+3,1.5,40\nf2, 3 ,2.5,60\n", None, True),
+    ("time beyond int64", HEADER + "f1,1,1.5,40\nf2,99999999999999999999,2.5,60\n", None, False),
+    ("time after a separator control byte", HEADER + "f1,\x1c3,1.5,40\n", None, False),
+    ("NUL ending a unit", HEADER + "f1\x00,1,1.5,40\nf1,2,2.5,60\n", None, False),
+    ("underscored outcome", HEADER + "f1,1,1_000,40\nf2,1,2.5,60\n", None, True),
+    ("outcome infinity", HEADER + "f1,1,1.5,40\nf2,1,infinity,60\n", None, False),
+    ("outcome overflowing to infinity", HEADER + "f1,1,1.5,40\nf2,1,1e400,60\n", None, False),
+    ("trailing comma", HEADER + "f1,1,1.5,40,\nf2,1,2.5,60\n", None, False),
+    ("UTF-8 BOM before the header", "\ufeff" + HEADER + "f1,1,1.5,40\n", None, False),
+    ("marker after the probed rows",
+     HEADER + "".join(f"f{i},1,{'NA' if i == 1500 else 1.5},{'' if i == 1700 else 40}\n"
+                      for i in range(2_000)), None, True),
 ]
 
 
@@ -250,6 +274,36 @@ class TestColumnWiseIngest:
         columns = _load_columns(path, schema)
         assert columns is not None and columns.n_dropped > 0
         _assert_same(columns, _load_rows(path, schema))
+
+    def test_benchmark_layout_never_reaches_the_row_parser(self, tmp_path, monkeypatch):
+        # unit-major ids, six decimals, about 1% empty outcomes, every marker
+        rng = np.random.default_rng(12)
+        markers = sorted(MISSING_MARKERS)
+        lines = [HEADER]
+        for i in range(4_000):
+            y = "" if rng.random() < 0.01 else f"{rng.uniform(-20.0, 20.0):.6f}"
+            if i % 400 == 7:
+                y = markers[i // 400 % len(markers)]
+            lines.append(f"u{i // 4 + 1:07d},{i % 4 + 1},{y},{rng.uniform(0.0, 100.0):.6f}\n")
+        path = write(tmp_path, "".join(lines))
+        want = _load_rows(path, PanelSchema())
+
+        def refuse(*args):
+            raise AssertionError("load_csv fell back to the row parser")
+
+        read, reads = panel_module._read_cells, []
+
+        def read_cells(path, formats, *args):
+            reads.append(formats)
+            return read(path, formats, *args)
+
+        monkeypatch.setattr(panel_module, "_read_cells", read_cells)
+        monkeypatch.setattr(panel_module, "_load_rows", refuse)
+        got = load_csv(path)
+        assert got.n_dropped >= len(markers)
+        _assert_same(got, want)
+        # the probe, then one full read that parses the marker-free signal
+        assert len(reads) == 2 and reads[1][3] == "f8"
 
 
 class TestSyntheticApplicationScale:

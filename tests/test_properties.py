@@ -3,6 +3,8 @@ band methods and the block-derived replication seeds against eager
 reference computations."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from concate.concentration import _mean_bounds
 from concate.errors import ConcateError
 from concate.estimators import GroupStats, split_arms
 from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
+from concate.panel import PanelDataset, PanelSchema, _load_columns, _load_rows
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -173,3 +176,72 @@ def test_block_states_equal_seed_sequence_row_for_row(
     for row in range(rows):
         seq = replication_seed(base_seed, design, n_units, periods, first + row, attempt)
         assert np.array_equal(states[row], seq.generate_state(4, np.uint64))
+
+
+# CSV cells that numpy's reader and the row parser could take differently:
+# quoting, padding, non-ASCII and control bytes, markers, overflow, and
+# cells wider than the fast path's byte fields.
+UNIT_CELLS = ["f1", "f2", " f3 ", "é", "公司", 'a"b', '"q"', '"x,y"', '"m\nl"', '"m\r\nl"', '"m\rl"',
+              "a#b", "", "  ", "u" * 60, "\xa0g", "n\x00", "\x85k", "\tt", '"a"b"c"', ' "q"', '"open']
+TIME_CELLS = ["1", "2", "+3", " 3 ", "-1", "3.0", "99999999999999999999", "x", "\x1c4", "1_0", '"2"',
+              "\xa05", ""]
+NUMBER_CELLS = ["1.5", " 40 ", "50", "-2", "1_000", "infinity", "1e400", "nan", "", "NA", " NA ", ".",
+                "101", '"7"', "0x10", "\xa05", "9" * 40, "1e-5", "+.5", "5\x00", "NULL"]
+GROUP_CELLS = ["fin", "", " ", "tech", "é", '"a,b"', "\x1ct"]
+
+
+@st.composite
+def panel_texts(draw):
+    grouped = draw(st.booleans())
+    columns = [UNIT_CELLS, TIME_CELLS, NUMBER_CELLS, NUMBER_CELLS] + [GROUP_CELLS] * grouped
+    header = "unit_id,time,outcome,signal" + ",sector" * grouped
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [draw(st.sampled_from(["\ufeff"] + [""] * 9)) + header]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", ","])))
+            continue
+        # mostly the first three cells of each list, which parse, so that
+        # the column parse often gets to decide
+        cells = [draw(st.sampled_from(c if draw(st.integers(0, 9)) == 0 else c[:3]))
+                 for c in columns]
+        if kind == 1:
+            cells.append(draw(st.sampled_from(["", "x"])))
+        elif kind == 2:
+            cells.pop()
+        lines.append(",".join(cells))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), grouped
+
+
+def _parsed(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except Exception as exc:  # the row parser may raise more than ConcateError
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(panel_texts())
+def test_column_parse_is_none_or_equals_the_row_parser(panel_text):
+    text, grouped = panel_text
+    schema = PanelSchema(group="sector" if grouped else None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_bytes(text.encode())
+        columns = _parsed(_load_columns, path, schema)
+        if columns is None:
+            return
+        rows = _parsed(_load_rows, path, schema)
+    if isinstance(rows, tuple):
+        assert columns == rows
+        return
+    assert isinstance(columns, PanelDataset), columns
+    for name in ("unit", "time", "outcome", "signal", "group"):
+        a, b = getattr(columns, name), getattr(rows, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert a.dtype == b.dtype, name
+            assert [type(v) for v in a.tolist()] == [type(v) for v in b.tolist()], name
+            assert a.tolist() == b.tolist(), name
+    assert columns.n_dropped == rows.n_dropped
