@@ -75,20 +75,19 @@ class PanelDataset:
                 f"signal outside [{SIGNAL_MIN:g}, {SIGNAL_MAX:g}] "
                 f"at row {bad[0]} (value {self.signal[bad[0]]!r})"
             )
-        # Sort (unit code, time) pairs and compare neighbours; the loop that
-        # names the first duplicate in row order runs only when one exists.
+        # Sort (unit code, time) pairs and compare neighbours.  The sort is
+        # stable, so each key's first row leads its run and the first repeat
+        # in row order is the smallest row index behind a leader.
         codes: dict = {}
         unit_code = np.fromiter(map(codes.setdefault, self.unit, range(n)), np.int64, n)
         time = self.time.astype(np.int64, copy=False)
         order = np.lexsort((time, unit_code))
         unit_code, time = unit_code[order], time[order]
-        if ((unit_code[1:] == unit_code[:-1]) & (time[1:] == time[:-1])).any():
-            keys = set()
-            for u, t in zip(self.unit, self.time):
-                key = (u, int(t))
-                if key in keys:
-                    raise DataError(f"duplicate (unit_id, time) pair {key}")
-                keys.add(key)
+        repeats = (unit_code[1:] == unit_code[:-1]) & (time[1:] == time[:-1])
+        if repeats.any():
+            row = order[1:][repeats].min()
+            key = (self.unit[row], int(self.time[row]))
+            raise DataError(f"duplicate (unit_id, time) pair {key}")
 
     @property
     def n(self) -> int:
@@ -374,39 +373,42 @@ def _load_rows(path: Path, schema: PanelSchema) -> PanelDataset:
     signals: list[float] = []
     groups: list[str | None] = []
     dropped = 0
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, no header row")
-        required = [schema.unit, schema.time, schema.outcome, schema.signal]
-        if schema.group is not None:
-            required.append(schema.group)
-        missing_cols = [c for c in required if c not in reader.fieldnames]
-        if missing_cols:
-            raise SchemaError(f"{path}: missing required column(s) {missing_cols}")
-        for row in reader:
-            line = reader.line_num
-            unit = (row[schema.unit] or "").strip()
-            if unit == "":
-                raise RowError(line, "empty unit_id")
-            time_index = _parse_time(row[schema.time] or "", line)
-            outcome = _parse_numeric(row[schema.outcome], schema.outcome, line)
-            signal = _parse_numeric(row[schema.signal], schema.signal, line)
-            if outcome is None or signal is None:
-                dropped += 1
-                continue
-            if not (SIGNAL_MIN <= signal <= SIGNAL_MAX):
-                raise RowError(
-                    line,
-                    f"signal {signal!r} outside [{SIGNAL_MIN:g}, {SIGNAL_MAX:g}]",
-                )
-            units.append(unit)
-            times.append(time_index)
-            outcomes.append(outcome)
-            signals.append(signal)
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise SchemaError(f"{path}: empty file, no header row")
+            required = [schema.unit, schema.time, schema.outcome, schema.signal]
             if schema.group is not None:
-                g = (row[schema.group] or "").strip()
-                groups.append(g if g else None)
+                required.append(schema.group)
+            missing_cols = [c for c in required if c not in reader.fieldnames]
+            if missing_cols:
+                raise SchemaError(f"{path}: missing required column(s) {missing_cols}")
+            for row in reader:
+                line = reader.line_num
+                unit = (row[schema.unit] or "").strip()
+                if unit == "":
+                    raise RowError(line, "empty unit_id")
+                time_index = _parse_time(row[schema.time] or "", line)
+                outcome = _parse_numeric(row[schema.outcome], schema.outcome, line)
+                signal = _parse_numeric(row[schema.signal], schema.signal, line)
+                if outcome is None or signal is None:
+                    dropped += 1
+                    continue
+                if not (SIGNAL_MIN <= signal <= SIGNAL_MAX):
+                    raise RowError(
+                        line,
+                        f"signal {signal!r} outside [{SIGNAL_MIN:g}, {SIGNAL_MAX:g}]",
+                    )
+                units.append(unit)
+                times.append(time_index)
+                outcomes.append(outcome)
+                signals.append(signal)
+                if schema.group is not None:
+                    g = (row[schema.group] or "").strip()
+                    groups.append(g if g else None)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not readable as {exc.encoding} text") from None
     if not units:
         raise DataError(f"{path}: no rows with both outcome and signal present")
     return PanelDataset(

@@ -84,8 +84,9 @@ def spend_alpha(
     """Per-look uniform levels summing exactly to alpha.
 
     Default: equal spending, with the last look absorbing the float
-    rounding residue so the sum is exact.  A user schedule must be
-    positive and sum to alpha within 1e-9.
+    rounding residue so the sum is exact.  A user schedule's entries
+    are per-look levels, so each must lie in (0, 1), and they must sum to
+    alpha within 1e-9; both checks are written so that a NaN fails them.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -96,10 +97,10 @@ def spend_alpha(
             raise ValidationError(
                 f"schedule has {len(schedule)} entries for {n_looks} looks"
             )
-        if any(a <= 0.0 for a in schedule):
-            raise ValidationError("schedule entries must be positive")
+        if any(not 0.0 < a < 1.0 for a in schedule):
+            raise ValidationError("schedule entries must lie in (0, 1)")
         total = math.fsum(schedule)
-        if abs(total - alpha) > 1e-9:
+        if not abs(total - alpha) <= 1e-9:
             raise ValidationError(
                 f"schedule sums to {total}, expected alpha = {alpha}"
             )

@@ -210,6 +210,19 @@ class TestBounds:
         assert "line 4: column 'outcome' has non-finite value 'inf'" in captured.err
         assert captured.out == ""
 
+    def test_undecodable_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"unit_id,time,outcome,signal\n\xe9,1,1.5,40\n")
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8", "-m", "concate.cli", "describe", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(concate.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {path}: not readable as utf-8 text\n"
+
     def test_single_treated_observation_is_degenerate(self, tmp_path, capsys):
         rc = main(["bounds", write(tmp_path, SMALL), "--tau", "80"])
         assert rc == 4
@@ -521,6 +534,16 @@ class TestScan:
         rc = main(["scan", demo_csv(tmp_path), "--alpha-schedule", "0.01,x"])
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_finite_schedule_is_a_validation_error(self, tmp_path, capsys):
+        path = demo_csv(tmp_path)
+        out = tmp_path / "scan.json"
+        for schedule in ("0.04,nan,0.5", "0.04,inf,0.01"):
+            rc = main(["scan", path, "--grid", "55:65:5", "--alpha-schedule", schedule,
+                       "--json", str(out)])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_non_finite_or_oversized_grid_is_a_validation_error(self, tmp_path, capsys):
         path = demo_csv(tmp_path)

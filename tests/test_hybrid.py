@@ -1,5 +1,6 @@
 """Tests for the hybrid band and the per-replication band pair."""
 
+import hashlib
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from concate.bands import BandOptions, compute_band
 from concate.concentration import Truncation
-from concate.errors import DataError, DegenerateArmError, ValidationError
+from concate.errors import ConcateError, DataError, DegenerateArmError, ValidationError
 from concate.estimators import split_arms
 from concate.montecarlo import MC_DESIGNS, replication_bands
 from concate.manski import (
@@ -151,6 +152,35 @@ class TestHybridBand:
             compute_band(stats_from([1.0], [2.0, 3.0]), "hybrid", 0.05)
         with pytest.raises(DegenerateArmError):
             compute_band(split_arms(np.ones(4), np.ones(4, dtype=bool)), "hybrid", 0.05)
+
+
+def pinned_outcomes():
+    """200 seeded t(3) samples, each at every truncation, c_alpha and alpha_u
+    of the pin below: the hybrid band's repr, or the error's class and message."""
+    rng = np.random.default_rng(20251)
+    for _ in range(200):
+        n = int(rng.integers(2, 401))
+        z = rng.random(n) < rng.uniform(0.05, 0.95)
+        y = rng.standard_t(3, n) * rng.uniform(1e-3, 1e3) + rng.uniform(-50.0, 50.0)
+        s = split_arms(y, z)
+        lo, hi = math.floor(y.min()), math.ceil(y.max())
+        for truncation in (Truncation(), Truncation(lower=lo), Truncation(lower=lo, upper=hi)):
+            for c_alpha in (0.0, 0.25, 2.0):
+                options = BandOptions(c_alpha=c_alpha, truncation=truncation)
+                for alpha_u in (0.05 / 19, 0.01, 0.2):
+                    try:
+                        yield repr(compute_band(s, "hybrid", alpha_u, options))
+                    except ConcateError as exc:
+                        yield f"{type(exc).__name__}: {exc}"
+
+
+def test_hybrid_band_is_pinned_across_truncations_c_alpha_and_levels():
+    digest = hashlib.sha256()
+    for outcome in pinned_outcomes():
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "08cf0b8a3071c2e10eeed52045fb8d489c804c7940a43d74fa7c2d22dfeca42f"
+    )
 
 
 class TestReplicationBands:

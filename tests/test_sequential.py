@@ -64,6 +64,11 @@ class TestSpendAlpha:
             spend_alpha(0.05, 3, [0.05, 0.05, -0.05])
         with pytest.raises(ValidationError):
             spend_alpha(0.05, 3, [0.02, 0.02, 0.02])
+        for bad in (math.nan, math.inf, -math.inf, 1e308):
+            with pytest.raises(ValidationError):
+                spend_alpha(0.05, 3, [0.04, bad, 0.01])
+        with pytest.raises(ValidationError):
+            spend_alpha(0.05, 2, [1e308, 1e308])
 
     def test_inexact_equal_spending_raises(self, monkeypatch):
         monkeypatch.setattr(math, "fsum", lambda values: 1.0)
