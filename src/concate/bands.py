@@ -126,9 +126,16 @@ def compute_band(
     A method that reads a truncation first needs its fewest observations
     per arm, then a truncation that no observed outcome violates.  With
     both support limits known nothing is left to pad: its band is the
-    delta-method band on the known support, with zero paddings.
+    delta-method band on the known support, with zero paddings.  A band
+    with a non-finite end is never returned: it raises DegenerateArmError.
     """
-    options = options or BandOptions()
+    band = _band(stats, method, alpha_u, options or BandOptions())
+    if not (math.isfinite(band.band_lower) and math.isfinite(band.band_upper)):
+        raise DegenerateArmError(f"{method} band has a non-finite end")
+    return band
+
+
+def _band(stats: GroupStats, method: str, alpha_u: float, options: BandOptions) -> BandResult:
     if method not in BUILDERS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 < alpha_u < 1.0:

@@ -280,14 +280,20 @@ def bernstein_mixing_terms(
     t1 = (c1 * log(18 n / alpha_u))^(1/gamma) / n,
     t2 = sqrt(c2 * (1 + n * V) * log(18 / alpha_u)) / n,
     t3 = the numerically inverted third-term root.
+    A term that overflows a float raises ConfigurationError.
     """
     _check_level(alpha_u)
     _check_size(n)
     if long_run_var < 0.0:
         raise ValidationError("long-run variance must be nonnegative")
-    t1 = (constants.c1 * math.log(18.0 * n / alpha_u)) ** (1.0 / constants.gamma) / n
-    t2 = math.sqrt(constants.c2 * (1.0 + n * long_run_var) * math.log(18.0 / alpha_u)) / n
-    t3 = bernstein_term3_root(alpha_u, n, constants)
+    try:
+        t1 = (constants.c1 * math.log(18.0 * n / alpha_u)) ** (1.0 / constants.gamma) / n
+        t2 = math.sqrt(constants.c2 * (1.0 + n * long_run_var) * math.log(18.0 / alpha_u)) / n
+        t3 = bernstein_term3_root(alpha_u, n, constants)
+    except OverflowError:
+        raise ConfigurationError(
+            "weak-dependence Bernstein terms overflow for this configuration"
+        ) from None
     return t1, t2, t3
 
 

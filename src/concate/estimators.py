@@ -79,8 +79,11 @@ def split_arms(outcome: np.ndarray, treated: np.ndarray) -> GroupStats:
         raise ValidationError("outcome and treatment arrays have different shapes")
     if y.size == 0:
         raise ValidationError("cannot split an empty sample")
-    y1 = y[z]
-    y0 = y[~z]
+    # One index pass per arm: a boolean copy branches on every element, which
+    # costs about twice as much as the gather when the mask flips every row
+    # or two, as it does when the signal is drawn per row.
+    y1 = y.take(np.flatnonzero(z))
+    y0 = y.take(np.flatnonzero(~z))
     n1, n0 = y1.size, y0.size
     n = n1 + n0
     mean1, var1, min1, max1 = _arm(y1)

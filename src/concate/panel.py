@@ -428,7 +428,7 @@ def assign_treatment(panel: PanelDataset, threshold: float) -> TreatmentAssignme
             f"threshold must lie strictly inside ({SIGNAL_MIN:g}, {SIGNAL_MAX:g}), got {threshold}"
         )
     treated = panel.signal >= threshold
-    n1 = int(treated.sum())
+    n1 = int(np.count_nonzero(treated))
     return TreatmentAssignment(
         treated=treated,
         n_treated=n1,

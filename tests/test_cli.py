@@ -625,6 +625,47 @@ class TestScan:
         )
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        ("signal_per", "json_sha256"),
+        [
+            ("row", "46a69d89753f652784dd00eca1433bec0105c2e9672179cfed17f4b2159dc8b5"),
+            ("unit", "38d22dbdd3d904de1945cc5b932cdfaa2462140e285c3995b920b9882a1e4698"),
+        ],
+    )
+    def test_many_look_mixing_scan_is_pinned_on_both_mask_shapes(
+        self, tmp_path, capsys, signal_per, json_sha256
+    ):
+        """199 looks of a returns-like panel.  A signal drawn per row flips
+        the treatment mask every row or two; a signal held per unit leaves
+        runs of 50 rows.  The serial-order arms feed the long-run variance,
+        so both digests pin the order of the arms as well as their values.
+        Recorded before the arm split gathered by index."""
+        rng = np.random.default_rng(20261018)
+        n_units, n_periods = 40, 50
+        n = n_units * n_periods
+        innov = rng.uniform(-0.25, 0.25, (n_units, n_periods))
+        noise = np.empty_like(innov)
+        noise[:, 0] = innov[:, 0]
+        for t in range(1, n_periods):
+            noise[:, t] = 0.5 * noise[:, t - 1] + innov[:, t]
+        if signal_per == "row":
+            signal = rng.uniform(1.0, 99.0, n)
+        else:
+            signal = np.repeat(rng.uniform(1.0, 99.0, n_units), n_periods)
+        panel = concate.PanelDataset(
+            unit=np.array([f"u{1 + i // n_periods}" for i in range(n)], dtype=object),
+            time=np.array([1 + i % n_periods for i in range(n)], dtype=np.int64),
+            outcome=np.where(signal >= 60.0, 1.0, 0.0) + noise.ravel(),
+            signal=signal,
+        )
+        path, report = tmp_path / "returns.csv", tmp_path / "scan.json"
+        write_panel_csv(panel, path)
+        argv = ["scan", str(path), "--method", "mixing", "--grid", "0.5:99.5:0.5",
+                "--json", str(report)]
+        assert main(argv) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
+        capsys.readouterr()
+
     @pytest.mark.parametrize("level", ["1000000.0", "-0.3", "-7.3"])
     def test_constant_outcome_never_crashes_a_method(self, tmp_path, capsys, level):
         """A constant outcome has a zero endpoint variance that can round
@@ -759,6 +800,62 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_describe", command)
         assert main(["describe", "panel.csv"]) == code
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnusableBands:
+    """A band with a non-finite end, or Bernstein terms that overflow a
+    float, is never reported: ``bounds`` fails with one error line and
+    ``scan`` skips the look with its reason."""
+
+    def test_bounds_with_a_non_finite_band_exits_4(self, tmp_path, capsys):
+        rc = main(["bounds", demo_csv(tmp_path), "--method", "mixing", "--tau", "50",
+                   "--c-alpha", "1e308"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "error: mixing band has a non-finite end\n"
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("flag", [("--bernstein-gamma", "0.999999"),
+                                      ("--bernstein-c1", "1e300")])
+    def test_bounds_with_overflowing_bernstein_terms_exits_2(self, tmp_path, capsys, flag):
+        rc = main(["bounds", demo_csv(tmp_path), "--method", "mixing", "--tau", "50", *flag])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: weak-dependence Bernstein terms overflow for this configuration\n"
+        )
+
+    @pytest.mark.parametrize(
+        ("flag", "reason"),
+        [
+            (("--long-run-var", "1e303"), "mixing band has a non-finite end"),
+            (("--bernstein-c1", "3e152"),
+             "weak-dependence Bernstein terms overflow for this configuration"),
+        ],
+    )
+    def test_scan_skips_the_unusable_look_and_gives_the_reason(self, tmp_path, capsys, flag,
+                                                                reason):
+        """The first look spends almost nothing, so only its terms blow up."""
+        report = tmp_path / "scan.json"
+        rc = main(["scan", demo_csv(tmp_path), "--method", "mixing", "--grid", "30:50:20",
+                   "--alpha-schedule", "1e-300,0.05", *flag, "--json", str(report)])
+        assert rc == 0
+        text = report.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        first, second = json.loads(text)["rows"]
+        assert first["skipped"] and first["reason"] == reason
+        assert not second["skipped"]
+        assert f"tau    30: skipped ({reason})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [("--long-run-var", "1e308"),
+                                      ("--bernstein-gamma", "0.999999"),
+                                      ("--bernstein-c1", "1e300")])
+    def test_scan_with_every_look_unusable_exits_4(self, tmp_path, capsys, flag):
+        report = tmp_path / "scan.json"
+        rc = main(["scan", demo_csv(tmp_path), "--method", "mixing", *flag,
+                   "--json", str(report)])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: N/A: every threshold on the grid was skipped\n"
+        assert not report.exists()
 
 
 class TestParser:

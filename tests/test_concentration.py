@@ -210,6 +210,12 @@ class TestBernsteinMixing:
         with pytest.raises(ValidationError):
             bernstein_mixing_terms(0.05, 100, BernsteinConstants(), -0.5)
 
+    @pytest.mark.parametrize("constants", [BernsteinConstants(gamma=0.999999),
+                                           BernsteinConstants(c1=1e300)])
+    def test_overflow_is_a_configuration_error(self, constants):
+        with pytest.raises(ConfigurationError, match="overflow"):
+            bernstein_mixing_terms(0.05, 100, constants, 1.0)
+
     def test_constants_validation(self):
         with pytest.raises(ValidationError):
             BernsteinConstants(c1=0.0)

@@ -4,6 +4,7 @@ reference computations."""
 
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,55 @@ def test_split_arms_matches_the_eager_split_bit_for_bit(sample):
         "min_control", "max_control",
     ):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+MASK_SHAPES = ("all treated", "all control", "one row", "one flip", "random", "runs", "2-D")
+
+
+@st.composite
+def masked_samples(draw):
+    """A treatment mask of one of ``MASK_SHAPES`` and outcomes of its shape.
+    "runs" alternates arms in runs of 2 to 500 rows; "2-D" is a matrix,
+    sometimes a transposed (non-contiguous) view."""
+    shape = draw(st.sampled_from(MASK_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3000))
+    if shape == "all treated":
+        z = np.ones(n, dtype=bool)
+    elif shape == "all control":
+        z = np.zeros(n, dtype=bool)
+    elif shape == "one row":
+        z = np.array([draw(st.booleans())])
+    elif shape == "one flip":
+        z = (np.arange(n) >= draw(st.integers(1, n - 1))) ^ draw(st.booleans())
+    elif shape == "random":
+        z = rng.random(n) < draw(st.floats(0.0, 1.0))
+    elif shape == "runs":
+        lengths = rng.integers(2, draw(st.integers(3, 501)), n // 2 + 1)
+        z = np.repeat(np.arange(lengths.size) % 2 == draw(st.integers(0, 1)), lengths)[:n]
+    else:
+        z = rng.random((draw(st.integers(1, 40)), draw(st.integers(1, 40)))) < 0.5
+        if draw(st.booleans()):
+            z = z.T
+    y = draw(st.sampled_from([0.0, 1e8, -3.7])) + rng.standard_normal(z.shape)
+    if z.ndim == 2 and not z.flags.c_contiguous:
+        y = np.ascontiguousarray(y.T).T
+    return y, z
+
+
+@PROPERTY_SETTINGS
+@given(masked_samples())
+def test_index_gather_matches_the_boolean_copy(sample):
+    y, z = sample
+    got, want = split_arms(y, z), eager_split(y, z)
+    for name, arm in (("treated_serial", y[z]), ("control_serial", y[~z])):
+        value = getattr(got, name)
+        assert value.dtype == np.float64 and value.flags.c_contiguous, name
+        assert same_bits(value, arm), name
+    for field in fields(GroupStats):
+        if field.type != "np.ndarray":
+            name = field.name
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
 
 @PROPERTY_SETTINGS

@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from concate import sequential
+from concate import concentration, sequential
 from concate.bands import BUILDERS, METHODS, BandOptions, BandResult, compute_band
 from concate.concentration import Truncation
 from concate.datasets import make_null_panel, make_tipping_demo_panel
-from concate.errors import ConfigurationError, EmptyScanError, ValidationError
+from concate.errors import (
+    ConfigurationError,
+    DegenerateArmError,
+    EmptyScanError,
+    ValidationError,
+)
 from concate.estimators import split_arms
 from concate.manski import delta_method_band, extrema_support, manski_region, trimmed_support
 from concate.sequential import DEFAULT_MIN_GROUP, MAX_LOOKS, ThresholdGrid, scan, spend_alpha
@@ -223,6 +228,15 @@ class TestComputeBand:
         with pytest.raises(ValidationError):
             compute_band(s, "manski", 0.05)
 
+    @pytest.mark.parametrize(
+        ("method", "options"),
+        [("mixing", BandOptions(c_alpha=1e308)), ("iid", BandOptions(c_abs=1e-320))],
+    )
+    def test_a_non_finite_band_is_degenerate(self, method, options):
+        s = random_stats(np.random.default_rng(209))
+        with pytest.raises(DegenerateArmError, match=f"^{method} band has a non-finite end$"):
+            compute_band(s, method, 0.05, options)
+
     def test_excludes_zero(self):
         assert point_result(0.5, 2.0).excludes_zero
         assert point_result(-2.0, -0.5).excludes_zero
@@ -309,6 +323,29 @@ class TestScan:
         monkeypatch.setattr(sequential.os, "cpu_count", lambda: None)
         assert scan(panel, ThresholdGrid.default(), "hybrid", workers=1000).rows == serial.rows
         assert pools == [4, 2, 3]
+
+    @pytest.mark.parametrize(
+        ("module", "name"),
+        [
+            (sequential, "assign_treatment"),
+            (sequential, "group_stats"),
+            (sequential, "compute_band"),
+            (concentration, "long_run_variance"),
+        ],
+    )
+    def test_each_look_calls_through_its_module_attribute(self, monkeypatch, module, name):
+        """The per-layer trace of the benchmark times a scan by wrapping these
+        four attributes; a look that reached the function another way would
+        leave its span empty."""
+        original, calls = getattr(module, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        scan(make_null_panel(60, 2, seed=3), ThresholdGrid(taus=(40.0, 60.0)), "mixing")
+        assert len(calls) >= 2
 
     def test_null_panel_usually_finds_no_tipping(self):
         panel = make_null_panel(120, 1, seed=7)
