@@ -11,17 +11,7 @@ reproducible coverage experiment.
 """
 
 from .bands import BandOptions, BandResult, METHODS, compute_band
-from .concentration import (
-    BernsteinConstants,
-    Truncation,
-    bernstein_mixing_terms,
-    bernstein_term3_root,
-    bernstein_tmu_iid,
-    bernstein_tmu_mixing,
-    dkw_epsilon,
-    hoeffding_tp,
-    padded_interval,
-)
+from .concentration import BernsteinConstants, Truncation
 from .errors import (
     ConcateError,
     ConfigurationError,
@@ -32,45 +22,10 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .estimators import (
-    GroupStats,
-    empirical_quantile,
-    group_stats,
-    split_arms,
-)
-from .manski import (
-    IdentificationRegion,
-    Paddings,
-    SupportBounds,
-    delta_method_band,
-    extrema_support,
-    known_support,
-    manski_region,
-    trimmed_support,
-)
-from .montecarlo import (
-    CellCoverage,
-    DgpSpec,
-    SimulatedData,
-    coverage_table,
-    generate,
-    replication_bands,
-    replication_seed,
-    run_cell,
-    write_coverage_csv,
-)
-from .panel import (
-    PanelDataset,
-    PanelSchema,
-    SummaryStats,
-    TreatmentAssignment,
-    assign_treatment,
-    load_csv,
-    rolling_correlation,
-    summary_stats,
-)
-from .sequential import ScanResult, ThresholdGrid, ThresholdResult, scan, spend_alpha
-from .stats import long_run_variance, norm_ppf
+from .estimators import GroupStats, split_arms
+from .montecarlo import CellCoverage, coverage_table, write_coverage_csv
+from .panel import PanelDataset, PanelSchema, load_csv
+from .sequential import ScanResult, ThresholdGrid, ThresholdResult, scan
 
 __version__ = "0.1.0"
 
@@ -83,53 +38,22 @@ __all__ = [
     "ConfigurationError",
     "DataError",
     "DegenerateArmError",
-    "DgpSpec",
     "EmptyScanError",
     "GroupStats",
-    "IdentificationRegion",
     "METHODS",
-    "Paddings",
     "PanelDataset",
     "PanelSchema",
     "RowError",
     "ScanResult",
     "SchemaError",
-    "SimulatedData",
-    "SummaryStats",
-    "SupportBounds",
     "ThresholdGrid",
     "ThresholdResult",
-    "TreatmentAssignment",
     "Truncation",
     "ValidationError",
-    "assign_treatment",
-    "bernstein_mixing_terms",
-    "bernstein_term3_root",
-    "bernstein_tmu_iid",
-    "bernstein_tmu_mixing",
     "compute_band",
     "coverage_table",
-    "delta_method_band",
-    "dkw_epsilon",
-    "empirical_quantile",
-    "extrema_support",
-    "generate",
-    "group_stats",
-    "hoeffding_tp",
-    "known_support",
     "load_csv",
-    "long_run_variance",
-    "manski_region",
-    "norm_ppf",
-    "padded_interval",
-    "replication_bands",
-    "replication_seed",
-    "rolling_correlation",
-    "run_cell",
     "scan",
-    "spend_alpha",
     "split_arms",
-    "summary_stats",
-    "trimmed_support",
     "write_coverage_csv",
 ]

@@ -151,7 +151,7 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
             file_cfg = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
             raise DataError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"config file {args.config}: {exc}") from None
     knobs = _config_object(file_cfg, BandOptions, f"config file {args.config}")
     sections = {None: knobs}
@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConcateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DataError.exit_code
 

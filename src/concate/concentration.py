@@ -21,7 +21,6 @@ from .errors import ConfigurationError, DataError, ValidationError
 from .estimators import VARIANCE_MODES, GroupStats
 from .manski import (
     BandResult,
-    IdentificationRegion,
     Paddings,
     SupportBounds,
     extrema_support,
@@ -151,6 +150,7 @@ def dkw_epsilon(
     Independent case (c_alpha None): sqrt(log(budget / alpha_u) / (2 n)),
     with the one-sided variant halving the budget (12 -> 6, 8 -> 4).
     Mixing case: (1 + 4 c_alpha) * sqrt(2 log(budget / alpha_u) / n).
+    At its defaults (two-sided, budget 12) it is the Hoeffding share padding.
     """
     _check_level(alpha_u)
     _check_size(n)
@@ -165,17 +165,6 @@ def dkw_epsilon(
     if c_alpha < 0.0:
         raise ValidationError(f"c_alpha must be nonnegative, got {c_alpha}")
     return (1.0 + 4.0 * c_alpha) * math.sqrt(2.0 * log_term / n)
-
-
-def hoeffding_tp(alpha_u: float, n: int, c_alpha: float | None = None) -> float:
-    """Arm-share padding from Hoeffding's inequality at budget alpha_u / 6.
-
-    Independent case: sqrt(log(12 / alpha_u) / (2 n)) with n the pooled
-    sample size.  Mixing case: (1 + 4 c_alpha) * sqrt(2 log(12 / alpha_u)
-    / n) with n the arm size.  Both are the two-sided DKW forms at budget
-    12, so this is :func:`dkw_epsilon` with those arguments.
-    """
-    return dkw_epsilon(alpha_u, n, sides="two", budget=12.0, c_alpha=c_alpha)
 
 
 def bernstein_tmu_iid(alpha_u: float, n: int, m: float, c_abs: float = 1.0) -> float:
@@ -297,16 +286,6 @@ def bernstein_mixing_terms(
     return t1, t2, t3
 
 
-def bernstein_tmu_mixing(
-    alpha_u: float,
-    n: int,
-    constants: BernsteinConstants,
-    long_run_var: float,
-) -> float:
-    """Arm-mean padding under alpha-mixing: the max of the three terms."""
-    return max(bernstein_mixing_terms(alpha_u, n, constants, long_run_var))
-
-
 def padded_interval(
     mean_treated: float,
     mean_control: float,
@@ -391,7 +370,7 @@ def padded_support(
     )
 
 
-def _unpadded_region(stats: GroupStats, trunc: Truncation) -> IdentificationRegion:
+def _unpadded_region(stats: GroupStats, trunc: Truncation) -> tuple[float, float]:
     """The plug-in region that the padded methods report: on the observed
     extrema, with a known lower limit in place of the lower ones."""
     support = extrema_support(stats)
@@ -416,14 +395,14 @@ def _padded_band(
         support,
         paddings,
     )
-    region = _unpadded_region(stats, trunc)
+    region_lower, region_upper = _unpadded_region(stats, trunc)
     return BandResult(
         method=method,
         alpha_u=alpha_u,
         n_treated=stats.n_treated,
         n_control=stats.n_control,
-        region_lower=region.lower,
-        region_upper=region.upper,
+        region_lower=region_lower,
+        region_upper=region_upper,
         band_lower=lower,
         band_upper=upper,
         support=support,
@@ -442,7 +421,7 @@ def _iid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandRe
     case to the delta-method band.
     """
     sides = "one" if options.truncation.kind == "lower" else "two"
-    t_share = hoeffding_tp(alpha_u, stats.n)
+    t_share = dkw_epsilon(alpha_u, stats.n)
     m1, m0 = _mean_bounds(stats, options)
     paddings = Paddings(
         eps_treated=dkw_epsilon(alpha_u, stats.n_treated, sides=sides, budget=12.0),
@@ -466,8 +445,8 @@ def _mixing_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     unless overridden.
     """
     c_alpha = options.c_alpha
-    t_share_1 = hoeffding_tp(alpha_u, stats.n_treated, c_alpha=c_alpha)
-    t_share_0 = hoeffding_tp(alpha_u, stats.n_control, c_alpha=c_alpha)
+    t_share_1 = dkw_epsilon(alpha_u, stats.n_treated, c_alpha=c_alpha)
+    t_share_0 = dkw_epsilon(alpha_u, stats.n_control, c_alpha=c_alpha)
     if options.truncation.kind == "lower":
         eps1 = dkw_epsilon(alpha_u, stats.n_treated, sides="one", budget=12.0, c_alpha=c_alpha)
         eps0 = dkw_epsilon(alpha_u, stats.n_control, sides="one", budget=12.0, c_alpha=c_alpha)
@@ -482,7 +461,7 @@ def _mixing_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
         eps_control=eps0,
         t_share_treated=t_share_1,
         t_share_control=t_share_0,
-        t_mean_treated=bernstein_tmu_mixing(alpha_u, stats.n_treated, options.bernstein, v1),
-        t_mean_control=bernstein_tmu_mixing(alpha_u, stats.n_control, options.bernstein, v0),
+        t_mean_treated=max(bernstein_mixing_terms(alpha_u, stats.n_treated, options.bernstein, v1)),
+        t_mean_control=max(bernstein_mixing_terms(alpha_u, stats.n_control, options.bernstein, v0)),
     )
     return _padded_band(stats, "mixing", alpha_u, options.truncation, paddings)

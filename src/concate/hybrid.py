@@ -38,11 +38,11 @@ def _hybrid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     eps0 = dkw_epsilon(alpha_u, stats.n_control, sides=sides, budget=8.0, c_alpha=c_alpha)
     support = padded_support(stats, trunc, eps1, eps0)
     band = delta_method_band(stats, support, alpha_u / 2.0, "hybrid")
-    region = _unpadded_region(stats, trunc)
+    region_lower, region_upper = _unpadded_region(stats, trunc)
     return replace(
         band,
         alpha_u=alpha_u,
-        region_lower=region.lower,
-        region_upper=region.upper,
+        region_lower=region_lower,
+        region_upper=region_upper,
         paddings=Paddings(eps1, eps0, 0.0, 0.0, 0.0, 0.0),
     )

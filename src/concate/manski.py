@@ -46,21 +46,6 @@ class SupportBounds:
 
 
 @dataclass(frozen=True)
-class IdentificationRegion:
-    """Plug-in interval of ATE values consistent with the data."""
-
-    lower: float
-    upper: float
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-
-@dataclass(frozen=True)
 class Paddings:
     """Per-arm padding widths entering one band assembly."""
 
@@ -154,8 +139,8 @@ def known_support(lower: float, upper: float) -> SupportBounds:
     )
 
 
-def manski_region(stats: GroupStats, support: SupportBounds) -> IdentificationRegion:
-    """Plug-in identified interval for the ATE.
+def manski_region(stats: GroupStats, support: SupportBounds) -> tuple[float, float]:
+    """Plug-in identified interval (lower, upper) for the ATE.
 
     Raises DegenerateArmError when either arm is empty: with a treated
     share of 0 or 1 the interval is not defined by the data and no bounds
@@ -169,7 +154,7 @@ def manski_region(stats: GroupStats, support: SupportBounds) -> IdentificationRe
     base = stats.mean_treated * p1 - stats.mean_control * p0
     lower = base + support.lower_treated * p0 - support.upper_control * p1
     upper = base + support.upper_treated * p0 - support.lower_control * p1
-    return IdentificationRegion(lower=lower, upper=upper)
+    return lower, upper
 
 
 def bound_gradients(
@@ -237,7 +222,7 @@ def delta_method_band(
     """
     if not 0.0 < alpha_u < 1.0:
         raise ValidationError(f"alpha_u must lie in (0, 1), got {alpha_u}")
-    region = manski_region(stats, support)
+    lower, upper = manski_region(stats, support)
     cov = sampling_covariance(stats)
     grad_lower, grad_upper = bound_gradients(stats, support)
     se_lower, se_upper = endpoint_se(cov, grad_lower), endpoint_se(cov, grad_upper)
@@ -247,10 +232,10 @@ def delta_method_band(
         alpha_u=alpha_u,
         n_treated=stats.n_treated,
         n_control=stats.n_control,
-        region_lower=region.lower,
-        region_upper=region.upper,
-        band_lower=region.lower - z * se_lower,
-        band_upper=region.upper + z * se_upper,
+        region_lower=lower,
+        region_upper=upper,
+        band_lower=lower - z * se_lower,
+        band_upper=upper + z * se_upper,
         se_lower=se_lower,
         se_upper=se_upper,
         support=support,

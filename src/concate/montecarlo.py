@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateArmError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .stats import norm_ppf
 
 MC_DESIGNS = ("A", "B", "C", "D", "E", "F", "G")
@@ -187,8 +187,7 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> SimulatedData:
 
 
 class _Intervals(NamedTuple):
-    """The intervals of a block of replications, one array entry per row
-    (one float per field for the single row of ``replication_bands``).
+    """The intervals of a block of replications, one array entry per row.
     ``hybrid_*`` is the Monte Carlo interval of the module docstring."""
 
     manski_lower: np.ndarray
@@ -210,14 +209,18 @@ def _replication_intervals(
 
     Arm statistics are masked reductions along axis 1.  Every row needs
     both arms non-empty and, outside design G, two observations per arm;
-    callers check that.  The endpoint SE is the closed form of g' S g
-    for the gradients and covariance of :mod:`concate.manski`:
+    callers check that.  Both arms share the support [a, b] of the
+    baseline, not the observed, outcomes: (-5, 5) in design G, [0, max] in
+    design F, the extrema otherwise.  The endpoint SE is the closed form
+    of g' S g for the gradients and covariance of :mod:`concate.manski`:
 
         se^2 = p1^2 v1 / n1 + p0^2 v0 / n0 + (p1 p0 / N) (g_p1 - g_p0)^2
 
-    Both arms share the support [a, b], so g_p1 - g_p0 = mean1 + mean0 -
-    a - b at both endpoints and one SE serves both.  ``banded_*`` widens
-    the plug-in interval by it at the normal quantile of 1 - alpha / 2.
+    With one support, g_p1 - g_p0 = mean1 + mean0 - a - b at both
+    endpoints and one SE serves both.  ``banded_*`` widens the plug-in
+    interval by it at the normal quantile of 1 - alpha / 2; ``hybrid_*``
+    by eps = sqrt(log(C) / (2 N)), C = 2 / alpha (1 / alpha in design F),
+    plus the normal quantile of 1 - alpha / 4 times sqrt(se^2 + se^2).
     For design G the hybrid arrays are the plug-in arrays and the reported
     epsilon and SE are zero.
     """
@@ -258,55 +261,6 @@ def _replication_intervals(
     spread = norm_ppf(1.0 - alpha / 4.0) * np.hypot(se, se)
     return _Intervals(lower, upper, lower - epsilon - spread, upper + epsilon + spread,
                       banded_lower, banded_upper, a, b, epsilon, se)
-
-
-def replication_bands(
-    y0: np.ndarray,
-    y: np.ndarray,
-    d: np.ndarray,
-    alpha: float,
-    design: str,
-) -> _Intervals:
-    """One replication of the coverage experiment: plug-in and Monte Carlo intervals.
-
-    Supports are design-specific and shared by both arms: design G uses
-    the known support (-5, 5), design F a known lower limit 0 with the
-    empirical maximum of the baseline outcomes, and all other designs the
-    empirical extrema of the baseline outcomes (the baseline, not the
-    observed outcome, so a positive effect can fall outside the plug-in
-    interval by construction).
-
-    For design G the Monte Carlo ("hybrid") interval is the plug-in
-    interval, bit for bit.  Otherwise it widens the plug-in interval by a
-    pooled support padding eps = sqrt(log(C) / (2 N)), with C = 2 / alpha
-    two-sided and C = 1 / alpha for the one-sided design F, plus a
-    symmetric delta-method term at the normal quantile of 1 - alpha / 4
-    applied to the combined endpoint scale sqrt(se^2 + se^2), where ``se``
-    is the one SE both endpoints share.  This is a one-row call of the
-    block kernel that scores the coverage experiment, and returns its row
-    as floats.
-    """
-    if design not in MC_DESIGNS:
-        raise ValidationError(f"design must be one of {MC_DESIGNS}, got {design!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    y0 = np.asarray(y0, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=bool).ravel()
-    if not y0.size == y.size == d.size:
-        raise ValidationError("baseline, outcome and treatment arrays have different sizes")
-    if y.size == 0:
-        raise ValidationError("cannot split an empty sample")
-    n1 = int(np.count_nonzero(d))
-    if min(n1, d.size - n1) == 0:
-        raise DegenerateArmError("replication has an empty arm")
-    if design != "G" and min(n1, d.size - n1) < 2:
-        raise DegenerateArmError("replication needs 2+ observations per arm")
-    rows = _replication_intervals(y0[None, :], y[None, :], d[None, :], design, alpha)
-    row = _Intervals._make(float(np.ravel(value)[0]) for value in rows)
-    if math.isnan(row.support_lower) or math.isnan(row.support_upper):
-        raise ValidationError("support is undefined (NaN)")
-    return row
 
 
 def _hits(lower: np.ndarray, upper: np.ndarray, value: float) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -162,8 +163,9 @@ def scan(
     below min_group, or the band degenerates or cannot be calibrated at
     its per-look level there.  All grid points are always evaluated; the
     tipping threshold is the smallest retained one whose band excludes
-    zero.  Raises EmptyScanError when nothing is retained.  Looks run on
-    at most min(workers, looks, CPUs) threads.
+    zero.  Raises EmptyScanError, naming the most common skip reason,
+    when nothing is retained.  Looks run on at most min(workers, looks,
+    CPUs) threads.
     """
     if min_group < 0:
         raise ValidationError(f"min_group must be nonnegative, got {min_group}")
@@ -207,7 +209,12 @@ def scan(
             rows = tuple(pool.map(evaluate, items))
 
     if all(r.skipped for r in rows):
-        raise EmptyScanError("N/A: every threshold on the grid was skipped")
+        # most_common breaks ties in the order first encountered: the earlier look
+        reason, count = Counter(r.reason for r in rows).most_common(1)[0]
+        raise EmptyScanError(
+            "N/A: every threshold on the grid was skipped; most common reason, "
+            f"on {count} of {len(rows)} looks: {reason}"
+        )
     tipping_tau = None
     direction = None
     for row in rows:

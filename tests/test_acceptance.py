@@ -12,7 +12,6 @@ from concate.concentration import (
     bernstein_mixing_terms,
     bernstein_tmu_iid,
     dkw_epsilon,
-    hoeffding_tp,
 )
 from concate.datasets import make_null_panel, make_tipping_demo_panel, write_panel_csv
 from concate.errors import EmptyScanError
@@ -27,7 +26,6 @@ from concate.montecarlo import (
     DgpSpec,
     coverage_table,
     generate,
-    replication_bands,
     replication_seed,
 )
 from concate.sequential import ThresholdGrid, scan
@@ -161,7 +159,7 @@ class TestAcceptance:
         )
         assert ok, line + "; " + "; ".join(failures)
 
-    def test_criterion_2_containment(self):
+    def test_criterion_2_containment(self, one_replication):
         rng = np.random.default_rng(20240602)
         escapes = {"iid": 0, "mixing": 0, "hybrid": 0}
         n_draws = 10_000
@@ -196,7 +194,7 @@ class TestAcceptance:
                 n1 = int(data.d.sum())
                 if 2 <= n1 <= data.d.size - 2:
                     break
-            bands = replication_bands(data.y0, data.y, data.d, 0.05, "G")
+            bands = one_replication(data.y0, data.y, data.d, 0.05, "G")
             if bands.hybrid_lower != bands.manski_lower or bands.hybrid_upper != bands.manski_upper:
                 g_mismatch += 1
 
@@ -232,9 +230,9 @@ class TestAcceptance:
             eps = dkw_epsilon(alpha, n, c_alpha=c)
             checks.append((2.0 * math.exp(-n * eps * eps / (2.0 * prefactor)), alpha / 6.0))
 
-            t = hoeffding_tp(alpha, n)
+            t = dkw_epsilon(alpha, n)
             checks.append((2.0 * math.exp(-2.0 * n * t * t), alpha / 6.0))
-            t = hoeffding_tp(alpha, n, c_alpha=c)
+            t = dkw_epsilon(alpha, n, c_alpha=c)
             checks.append((2.0 * math.exp(-n * t * t / (2.0 * prefactor)), alpha / 6.0))
 
             t = bernstein_tmu_iid(alpha, n, m, c_abs)

@@ -802,6 +802,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestFileErrors:
+    """A path that cannot be read or written ends in one ``error:`` line."""
+
+    @pytest.mark.parametrize("case", ["panel", "config", "out"])
+    def test_a_directory_in_place_of_a_file_exits_3(self, tmp_path, capsys, case):
+        argv = {
+            "panel": ["bounds", str(tmp_path), "--tau", "40"],
+            "config": ["bounds", demo_csv(tmp_path), "--tau", "40", "--config", str(tmp_path)],
+            "out": ["scan", demo_csv(tmp_path), "--out", str(tmp_path)],
+        }[case]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"c_alpha": "\xff"}')
+        rc = main(["bounds", demo_csv(tmp_path), "--tau", "40", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+
 class TestUnusableBands:
     """A band with a non-finite end, or Bernstein terms that overflow a
     float, is never reported: ``bounds`` fails with one error line and
@@ -846,15 +869,27 @@ class TestUnusableBands:
         assert not second["skipped"]
         assert f"tau    30: skipped ({reason})" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", [("--long-run-var", "1e308"),
-                                      ("--bernstein-gamma", "0.999999"),
-                                      ("--bernstein-c1", "1e300")])
-    def test_scan_with_every_look_unusable_exits_4(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, reason",
+        [
+            (("--long-run-var", "1e308"), "mixing band has a non-finite end"),
+            (("--bernstein-gamma", "0.999999"),
+             "weak-dependence Bernstein terms overflow for this configuration"),
+            (("--bernstein-c1", "1e300"),
+             "weak-dependence Bernstein terms overflow for this configuration"),
+        ],
+    )
+    def test_scan_with_every_look_unusable_exits_4(self, tmp_path, capsys, flag, reason):
+        """The eleven looks below 60 fail on the flag; the eight above it
+        have an empty treated arm."""
         report = tmp_path / "scan.json"
         rc = main(["scan", demo_csv(tmp_path), "--method", "mixing", *flag,
                    "--json", str(report)])
         assert rc == 4
-        assert capsys.readouterr().err == "error: N/A: every threshold on the grid was skipped\n"
+        assert capsys.readouterr().err == (
+            "error: N/A: every threshold on the grid was skipped; most common reason, "
+            f"on 11 of 19 looks: {reason}\n"
+        )
         assert not report.exists()
 
 

@@ -14,9 +14,7 @@ from concate.concentration import (
     bernstein_mixing_terms,
     bernstein_term3_root,
     bernstein_tmu_iid,
-    bernstein_tmu_mixing,
     dkw_epsilon,
-    hoeffding_tp,
     padded_interval,
 )
 from concate.errors import (
@@ -101,14 +99,14 @@ class TestDkwEpsilon:
 
 class TestHoeffdingShare:
     def test_frozen_anchor(self):
-        assert abs(hoeffding_tp(0.05, 1000) - 0.0523481) < 1e-6
+        assert abs(dkw_epsilon(0.05, 1000) - 0.0523481) < 1e-6
 
     def test_mixing_anchor(self):
-        assert abs(hoeffding_tp(0.05, 1000, c_alpha=1.0) - 0.523481) < 1e-6
+        assert abs(dkw_epsilon(0.05, 1000, c_alpha=1.0) - 0.523481) < 1e-6
 
     def test_mixing_prefactor_at_zero(self):
-        t_iid = hoeffding_tp(0.05, 500)
-        t_mix = hoeffding_tp(0.05, 500, c_alpha=0.0)
+        t_iid = dkw_epsilon(0.05, 500)
+        t_mix = dkw_epsilon(0.05, 500, c_alpha=0.0)
         assert abs(t_mix - 2.0 * t_iid) < 1e-15
 
     def test_budget_inversion(self):
@@ -116,10 +114,10 @@ class TestHoeffdingShare:
         for _ in range(50):
             alpha = float(rng.uniform(0.001, 0.2))
             n = int(rng.integers(5, 100_000))
-            t = hoeffding_tp(alpha, n)
+            t = dkw_epsilon(alpha, n)
             assert abs(12.0 * math.exp(-2.0 * n * t * t) - alpha) < 1e-10 * alpha
             c = float(rng.uniform(0.0, 2.0))
-            tm = hoeffding_tp(alpha, n, c_alpha=c)
+            tm = dkw_epsilon(alpha, n, c_alpha=c)
             implied = 12.0 * math.exp(-n * tm * tm / (2.0 * (1.0 + 4.0 * c) ** 2))
             assert abs(implied - alpha) < 1e-10 * alpha
 
@@ -195,15 +193,18 @@ class TestBernsteinMixing:
             assert third_term_level(factor * t3, 500, constants) < 0.05 / 18.0
 
     def test_max_of_three(self):
-        constants = BernsteinConstants()
+        rng = np.random.default_rng(92)
         for n, v in ((30, 0.5), (1000, 2.0), (50_000, 0.1)):
+            s = split_arms(rng.standard_normal(2 * n), np.arange(2 * n) < n)
+            constants = BernsteinConstants(long_run_var=v)
+            band = compute_band(s, "mixing", 0.05, BandOptions(bernstein=constants))
             terms = bernstein_mixing_terms(0.05, n, constants, v)
-            assert bernstein_tmu_mixing(0.05, n, constants, v) == max(terms)
+            assert band.paddings.t_mean_treated == band.paddings.t_mean_control == max(terms)
 
     def test_terms_monotone_in_n(self):
         constants = BernsteinConstants()
         sizes = (50, 500, 5000, 50_000)
-        maxima = [bernstein_tmu_mixing(0.05, n, constants, 1.0) for n in sizes]
+        maxima = [max(bernstein_mixing_terms(0.05, n, constants, 1.0)) for n in sizes]
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
 
     def test_negative_long_run_variance_rejected(self):
@@ -264,7 +265,7 @@ class TestPaddedInterval:
         for _ in range(100):
             s = random_stats(rng)
             sup = extrema_support(s)
-            region = manski_region(s, sup)
+            region_lower, region_upper = manski_region(s, sup)
             lower, upper = padded_interval(
                 s.mean_treated,
                 s.mean_control,
@@ -273,8 +274,8 @@ class TestPaddedInterval:
                 sup,
                 Paddings.zero(),
             )
-            assert abs(lower - region.lower) < 1e-12
-            assert abs(upper - region.upper) < 1e-12
+            assert abs(lower - region_lower) < 1e-12
+            assert abs(upper - region_upper) < 1e-12
 
     def test_each_padding_moves_the_ends_outward_for_centered_data(self):
         rng = np.random.default_rng(96)
@@ -295,9 +296,9 @@ class TestIidBand:
         for _ in range(300):
             s = random_stats(rng, positive=True)
             band = compute_band(s, "iid", 0.05, config)
-            region = manski_region(s, extrema_support(s))
-            assert band.band_lower <= region.lower + 1e-12
-            assert band.band_upper >= region.upper - 1e-12
+            lower, upper = manski_region(s, extrema_support(s))
+            assert band.band_lower <= lower + 1e-12
+            assert band.band_upper >= upper - 1e-12
 
     def test_centered_heavy_left_tails_can_escape_the_region(self):
         """Containment is not algebraic: the adversarial share terms
@@ -309,8 +310,8 @@ class TestIidBand:
         y = rng.standard_normal(n) * 2.5
         s = split_arms(y, z)
         band = compute_band(s, "iid", 0.05)
-        region = manski_region(s, extrema_support(s))
-        assert band.band_lower > region.lower
+        lower, _ = manski_region(s, extrema_support(s))
+        assert band.band_lower > lower
 
     def test_padding_bookkeeping(self):
         rng = np.random.default_rng(98)
@@ -320,7 +321,7 @@ class TestIidBand:
         assert p.eps_treated == dkw_epsilon(0.05, s.n_treated)
         assert p.eps_control == dkw_epsilon(0.05, s.n_control)
         # share padding pools both arms
-        assert p.t_share_treated == p.t_share_control == hoeffding_tp(0.05, s.n)
+        assert p.t_share_treated == p.t_share_control == dkw_epsilon(0.05, s.n)
         m1 = float(np.max(np.abs(s.treated_serial - s.mean_treated)))
         assert p.t_mean_treated == bernstein_tmu_iid(0.05, s.n_treated, m1)
         assert band.support.upper_treated == s.max_treated + p.eps_treated
@@ -339,8 +340,8 @@ class TestIidBand:
             y = rng.chisquare(3, n)
             z = rng.random(n) < 0.5
             band = compute_band(split_arms(y, z), "iid", 0.05, config)
-            region = manski_region(split_arms(y, z), extrema_support(split_arms(y, z)))
-            widths.append(band.width - region.width)
+            lower, upper = manski_region(split_arms(y, z), extrema_support(split_arms(y, z)))
+            widths.append(band.width - (upper - lower))
         assert widths[0] > widths[1] > widths[2]
         assert widths[2] < 0.2
 
@@ -408,7 +409,7 @@ class TestMixingBand:
         p = band.paddings
         assert p.eps_treated == p.t_share_treated
         assert p.eps_control == p.t_share_control
-        assert p.t_share_treated == hoeffding_tp(0.05, s.n_treated, c_alpha=0.5)
+        assert p.t_share_treated == dkw_epsilon(0.05, s.n_treated, c_alpha=0.5)
 
     def test_contains_the_plugin_region_for_nonnegative_outcomes(self):
         rng = np.random.default_rng(105)
@@ -416,9 +417,9 @@ class TestMixingBand:
         for _ in range(300):
             s = random_stats(rng, positive=True, arm_min=5)
             band = compute_band(s, "mixing", 0.05, config)
-            region = manski_region(s, extrema_support(s))
-            assert band.band_lower <= region.lower + 1e-12
-            assert band.band_upper >= region.upper - 1e-12
+            lower, upper = manski_region(s, extrema_support(s))
+            assert band.band_lower <= lower + 1e-12
+            assert band.band_upper >= upper - 1e-12
 
     def test_width_increases_with_dependence_constant(self):
         rng = np.random.default_rng(106)
@@ -443,8 +444,8 @@ class TestMixingBand:
         s = random_stats(rng, arm_min=5)
         constants = BernsteinConstants(long_run_var=2.5)
         band = compute_band(s, "mixing", 0.05, BandOptions(bernstein=constants))
-        assert band.paddings.t_mean_treated == bernstein_tmu_mixing(
-            0.05, s.n_treated, constants, 2.5
+        assert band.paddings.t_mean_treated == max(
+            bernstein_mixing_terms(0.05, s.n_treated, constants, 2.5)
         )
 
     def test_lower_known_one_sided_budget(self):

@@ -11,7 +11,7 @@ from concate.bands import BandOptions, compute_band
 from concate.concentration import Truncation
 from concate.errors import ConcateError, DataError, DegenerateArmError, ValidationError
 from concate.estimators import split_arms
-from concate.montecarlo import MC_DESIGNS, replication_bands
+from concate.montecarlo import MC_DESIGNS
 from concate.manski import (
     bound_gradients,
     extrema_support,
@@ -50,10 +50,10 @@ class TestHybridBand:
         for _ in range(50):
             s = random_stats(rng)
             band = compute_band(s, "hybrid", 0.05)
-            padded_region = manski_region(s, band.support)
+            padded_lower, padded_upper = manski_region(s, band.support)
             z = band.multiplier
-            assert abs(band.band_lower - (padded_region.lower - z * band.se_lower)) < 1e-12
-            assert abs(band.band_upper - (padded_region.upper + z * band.se_upper)) < 1e-12
+            assert abs(band.band_lower - (padded_lower - z * band.se_lower)) < 1e-12
+            assert abs(band.band_upper - (padded_upper + z * band.se_upper)) < 1e-12
 
     def test_per_endpoint_ses_use_the_padded_support(self):
         rng = np.random.default_rng(122)
@@ -79,9 +79,9 @@ class TestHybridBand:
             for _ in range(250):
                 s = random_stats(rng, positive=positive)
                 band = compute_band(s, "hybrid", 0.05)
-                region = manski_region(s, extrema_support(s))
-                assert band.band_lower < region.lower
-                assert band.band_upper > region.upper
+                lower, upper = manski_region(s, extrema_support(s))
+                assert band.band_lower < lower
+                assert band.band_upper > upper
 
     def test_band_approaches_the_region_as_n_grows(self):
         rng = np.random.default_rng(125)
@@ -91,8 +91,8 @@ class TestHybridBand:
             z = rng.random(n) < 0.5
             s = split_arms(y, z)
             band = compute_band(s, "hybrid", 0.05)
-            region = manski_region(s, extrema_support(s))
-            gaps.append(band.width - region.width)
+            lower, upper = manski_region(s, extrema_support(s))
+            gaps.append(band.width - (upper - lower))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.1
 
@@ -187,95 +187,75 @@ class TestReplicationBands:
     def test_design_list(self):
         assert MC_DESIGNS == ("A", "B", "C", "D", "E", "F", "G")
 
-    def test_known_support_design_is_plugin_bit_for_bit(self):
+    def test_known_support_design_is_plugin_bit_for_bit(self, one_replication):
         rng = np.random.default_rng(130)
         y0 = rng.uniform(-5.0, 5.0, 50)
         d = rng.random(50) < 0.3
         y = np.where(d, np.clip(y0 + 4.0, -5.0, 5.0), y0)
-        bands = replication_bands(y0, y, d, 0.05, "G")
+        bands = one_replication(y0, y, d, 0.05, "G")
         assert bands.hybrid_lower == bands.manski_lower
         assert bands.hybrid_upper == bands.manski_upper
         assert bands.support_lower == -5.0 and bands.support_upper == 5.0
         assert bands.epsilon == 0.0 and bands.se == 0.0
 
-    def test_known_support_design_allows_single_observation_arms(self):
+    def test_known_support_design_allows_single_observation_arms(self, one_replication):
         """The undefined n - 1 variance of a one-observation arm is not
         needed for design G and must not reach stderr as a RuntimeWarning."""
         y0 = np.array([-1.0, 0.0, 1.0, 2.0])
         d = np.array([True, False, False, False])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bands = replication_bands(y0, y0, d, 0.05, "G")
-            flipped = replication_bands(y0, y0, ~d, 0.05, "G")
+            bands = one_replication(y0, y0, d, 0.05, "G")
+            flipped = one_replication(y0, y0, ~d, 0.05, "G")
         assert bands.hybrid_lower == bands.manski_lower
         assert flipped.hybrid_upper == flipped.manski_upper
         assert bands.se == 0.0
 
-    def test_pooled_epsilon_anchor(self):
+    def test_pooled_epsilon_anchor(self, one_replication):
         rng = np.random.default_rng(131)
         y0 = rng.standard_normal(50)
         d = rng.random(50) < 0.3
         while not 2 <= d.sum() <= 48:
             d = rng.random(50) < 0.3
         y = y0 + 4.0 * d
-        bands = replication_bands(y0, y, d, 0.05, "A")
+        bands = one_replication(y0, y, d, 0.05, "A")
         assert abs(bands.epsilon - 0.192065) < 1e-6
         assert abs(bands.epsilon - math.sqrt(math.log(40.0) / 100.0)) < 1e-15
 
-    def test_one_sided_design_uses_smaller_log_constant(self):
+    def test_one_sided_design_uses_smaller_log_constant(self, one_replication):
         rng = np.random.default_rng(132)
         y0 = rng.chisquare(3, 60)
         d = rng.random(60) < 0.3
         while not 2 <= d.sum() <= 58:
             d = rng.random(60) < 0.3
         y = y0 + 4.0 * d
-        bands = replication_bands(y0, y, d, 0.05, "F")
+        bands = one_replication(y0, y, d, 0.05, "F")
         assert abs(bands.epsilon - math.sqrt(math.log(20.0) / 120.0)) < 1e-15
         assert bands.support_lower == 0.0
         assert bands.support_upper == y0.max()
 
-    def test_supports_come_from_the_baseline_not_the_outcome(self):
+    def test_supports_come_from_the_baseline_not_the_outcome(self, one_replication):
         rng = np.random.default_rng(133)
         y0 = rng.standard_normal(80)
         d = rng.random(80) < 0.3
         while not 2 <= d.sum() <= 78:
             d = rng.random(80) < 0.3
         y = y0 + 100.0 * d
-        bands = replication_bands(y0, y, d, 0.05, "A")
+        bands = one_replication(y0, y, d, 0.05, "A")
         assert bands.support_lower == y0.min()
         assert bands.support_upper == y0.max()
 
-    def test_hybrid_assembly(self):
+    def test_hybrid_assembly(self, one_replication):
         rng = np.random.default_rng(134)
         y0 = rng.standard_normal(100)
         d = rng.random(100) < 0.3
         while not 2 <= d.sum() <= 98:
             d = rng.random(100) < 0.3
         y = y0 + 4.0 * d
-        bands = replication_bands(y0, y, d, 0.05, "B")
+        bands = one_replication(y0, y, d, 0.05, "B")
         z = norm_ppf(1.0 - 0.05 / 4.0)
         scale = math.hypot(bands.se, bands.se)
         assert abs(bands.hybrid_lower - (bands.manski_lower - bands.epsilon - z * scale)) < 1e-12
         assert abs(bands.hybrid_upper - (bands.manski_upper + bands.epsilon + z * scale)) < 1e-12
         assert bands.hybrid_lower < bands.manski_lower
         assert bands.hybrid_upper > bands.manski_upper
-
-    def test_empty_arm_raises(self):
-        y0 = np.zeros(10)
-        with pytest.raises(DegenerateArmError):
-            replication_bands(y0, y0, np.zeros(10, dtype=bool), 0.05, "A")
-
-    def test_single_observation_arm_raises_outside_known_support(self):
-        y0 = np.arange(10.0)
-        d = np.zeros(10, dtype=bool)
-        d[0] = True
-        with pytest.raises(DegenerateArmError):
-            replication_bands(y0, y0, d, 0.05, "A")
-
-    def test_design_and_alpha_validation(self):
-        y0 = np.arange(10.0)
-        d = np.array([True] * 5 + [False] * 5)
-        with pytest.raises(ValidationError):
-            replication_bands(y0, y0, d, 0.05, "H")
-        with pytest.raises(ValidationError):
-            replication_bands(y0, y0, d, 0.0, "A")

@@ -23,7 +23,6 @@ from concate.montecarlo import (
     _replication_seeds,
     coverage_table,
     generate,
-    replication_bands,
     replication_seed,
     run_cell,
     write_coverage_csv,
@@ -65,26 +64,26 @@ def oracle_bands(data, alpha, design):
     else:
         a, b = float(y0.min()), float(y0.max())
     support = known_support(a, b)
-    region = manski_region(stats, support)
+    lower, upper = manski_region(stats, support)
     cov = sampling_covariance(stats)
     grad_lower, grad_upper = bound_gradients(stats, support)
     se_lower = math.sqrt(float(grad_lower @ cov @ grad_lower))
     se_upper = math.sqrt(float(grad_upper @ cov @ grad_upper))
     z_banded = norm_ppf(1.0 - alpha / 2.0)
     out = {
-        "plugin": (region.lower, region.upper),
-        "banded": (region.lower - z_banded * se_lower, region.upper + z_banded * se_upper),
+        "plugin": (lower, upper),
+        "banded": (lower - z_banded * se_lower, upper + z_banded * se_upper),
         "support": (a, b),
     }
     if design == "G":
-        out.update(hybrid=(region.lower, region.upper), epsilon=0.0, se=(0.0, 0.0))
+        out.update(hybrid=(lower, upper), epsilon=0.0, se=(0.0, 0.0))
         return out
     log_c = math.log(1.0 / alpha) if design == "F" else math.log(2.0 / alpha)
     epsilon = math.sqrt(log_c / (2.0 * y0.size))
     scale = math.hypot(se_lower, se_upper)
     z = norm_ppf(1.0 - alpha / 4.0)
     out.update(
-        hybrid=(region.lower - epsilon - z * scale, region.upper + epsilon + z * scale),
+        hybrid=(lower - epsilon - z * scale, upper + epsilon + z * scale),
         epsilon=epsilon,
         se=(se_lower, se_upper),
     )
@@ -288,7 +287,7 @@ class TestRunCell:
         assert cell.coverage_manski_pct == 100.0
         assert cell.redraws == 0
 
-    def test_coverage_matches_a_straight_line_recount(self):
+    def test_coverage_matches_a_straight_line_recount(self, one_replication):
         """Independent loop over the same streams reproduces both rates."""
         spec = DgpSpec(design="F", n_units=50)
         hits_hybrid = 0
@@ -300,7 +299,7 @@ class TestRunCell:
                 n1 = int(data.d.sum())
                 if 2 <= n1 <= data.d.size - 2:
                     break
-            bands = replication_bands(data.y0, data.y, data.d, 0.05, "F")
+            bands = one_replication(data.y0, data.y, data.d, 0.05, "F")
             assert bands.hybrid_lower <= bands.manski_lower
             assert bands.manski_upper <= bands.hybrid_upper
             hits_manski += bands.manski_lower <= 4.0 <= bands.manski_upper
@@ -366,7 +365,8 @@ class TestBatchedStatistics:
     @pytest.mark.parametrize("manski_variant", MANSKI_VARIANTS)
     @pytest.mark.parametrize("periods", [1, 2, 5])
     @pytest.mark.parametrize("design", MC_DESIGNS)
-    def test_kernel_matches_the_scalar_reference(self, design, periods, manski_variant):
+    def test_kernel_matches_the_scalar_reference(self, design, periods, manski_variant,
+                                                 one_replication):
         spec = DgpSpec(design=design, n_units=50, periods=periods)
         draws = [data for data, _ in oracle_draws(spec, 30, base_seed=17)]
         y0 = np.stack([data.y0.ravel() for data in draws])
@@ -378,7 +378,7 @@ class TestBatchedStatistics:
         }[manski_variant]
         for row, data in enumerate(draws):
             want = oracle_bands(data, 0.05, design)
-            one = replication_bands(data.y0, data.y, data.d, 0.05, design)
+            one = one_replication(data.y0, data.y, data.d, 0.05, design)
             width = want["support"][1] - want["support"][0]
             assert close(manski[0][row], want[manski_variant][0], width)
             assert close(manski[1][row], want[manski_variant][1], width)

@@ -24,3 +24,11 @@ def test_star_import_resolves_every_public_name():
     assert len(set(concate.__all__)) == len(concate.__all__)
     missing = [name for name in concate.__all__ if name not in namespace]
     assert missing == []
+
+
+def test_public_names_paragraph_lists_exactly_the_exports():
+    text = README.read_text()
+    section = text[text.index("## Public names"):text.index("## Library quickstart")]
+    paragraph = section.split("\n\n")[1]
+    listed = paragraph[:paragraph.index("Everything else")]
+    assert set(re.findall(r"`(\w+)`", listed)) == set(concate.__all__)

@@ -196,9 +196,7 @@ class TestComputeBand:
     def test_concentration_region_uses_the_unpadded_support(self):
         s = random_stats(np.random.default_rng(204))
         res = compute_band(s, "iid", 0.05)
-        region = manski_region(s, extrema_support(s))
-        assert res.region_lower == region.lower
-        assert res.region_upper == region.upper
+        assert (res.region_lower, res.region_upper) == manski_region(s, extrema_support(s))
 
     def test_hybrid_matches_the_builder(self):
         s = random_stats(np.random.default_rng(205))
@@ -274,6 +272,24 @@ class TestScan:
         panel = make_tipping_demo_panel()
         with pytest.raises(EmptyScanError):
             scan(panel, ThresholdGrid(taus=(60.0, 70.0, 80.0)), "hybrid")
+
+    def test_all_skipped_grid_names_the_most_common_reason(self):
+        panel = make_tipping_demo_panel()
+        with pytest.raises(EmptyScanError) as err:
+            scan(panel, ThresholdGrid(taus=(40.0, 60.0, 70.0, 80.0)), "hybrid", min_group=2000)
+        assert str(err.value) == (
+            "N/A: every threshold on the grid was skipped; most common reason, "
+            "on 3 of 4 looks: treated arm below min_group (0 < 2000)"
+        )
+
+    def test_equally_common_reasons_go_to_the_earlier_look(self):
+        """Treated arms of 1302, 500 and 200 rows: three distinct reasons."""
+        panel = make_tipping_demo_panel()
+        with pytest.raises(EmptyScanError) as err:
+            scan(panel, ThresholdGrid(taus=(40.0, 50.0, 55.0)), "hybrid", min_group=1500)
+        assert str(err.value).endswith(
+            "on 1 of 3 looks: treated arm below min_group (1302 < 1500)"
+        )
 
     def test_min_group_zero_retains_empty_arm_thresholds_as_degenerate(self):
         panel = make_tipping_demo_panel()
