@@ -182,6 +182,8 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
 # describe
 
 def cmd_describe(args: argparse.Namespace) -> int:
+    if args.window is not None and args.window < 2:
+        raise ValidationError(f"window must be at least 2, got {args.window}")
     panel = _load_panel(args)
     variables = {
         "outcome": summary_stats(panel.outcome),

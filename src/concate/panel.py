@@ -477,15 +477,108 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(dx @ dy) / math.sqrt(sx * sy)
 
 
-def _kendall(x: np.ndarray, y: np.ndarray) -> float | None:
-    # Imported here: scipy.stats costs about a second to import and only
-    # the rolling Kendall correlation needs it.
-    from scipy.stats import kendalltau
+#: The most rows of one period that the rolling Kendall count compares as
+#: one anchor; its lookup tables hold about 2·M·√M counts.
+_ANCHOR_ROWS = 4096
 
-    tau = kendalltau(x, y).statistic
-    if tau is None or math.isnan(tau):
-        return None
-    return float(tau)
+
+def _discordant(lx: np.ndarray, ly: np.ndarray, size: int, ends: np.ndarray) -> np.ndarray:
+    """Discordant pairs of the anchor, rows ``[0, ends[0])`` of the ranks
+    ``lx`` and ``ly`` below ``size``, with itself and the rest of its
+    period (element 0) and with each later segment ``[ends[k], ends[k+1])``.
+    A row with i (i⁺) anchor rows below (at most) its x, and j (j⁺) in y,
+    is discordant with i - F(i, j⁺) + j - F(i⁺, j) of them; F(i, v) counts
+    those among the first i in x and the first v in y."""
+    m = int(ends[0])
+    by_x = np.argsort(lx[:m])
+    ypos = np.argsort(np.argsort(ly[:m][by_x]))
+    step = math.isqrt(m - 1) + 1
+    piece, local = np.divmod(np.arange(m + 1), step)
+    # F from every step-th x position on; int32 halves the memory traffic.
+    # share[s, v]: rows of slice s among the v lowest in y; coarse[s, v]:
+    # those of the slices before s; fine[s, r, u]: the first r rows of
+    # slice s among its u lowest in y.
+    share = np.zeros((m // step + 1, m + 1), np.int32)
+    share[piece[:m], ypos + 1] = 1
+    share = share.cumsum(1, dtype=np.int32)
+    coarse, share = (share.cumsum(0, dtype=np.int32) - share).ravel(), share.ravel()
+    fine = np.zeros((m // step + 1, step + 1, step + 1), np.int32)
+    fine[piece[:m], local[:m] + 1, local[np.argsort(np.lexsort((ypos, piece[:m])))] + 1] = 1
+    fine = fine.cumsum(1, dtype=np.int32).cumsum(2, dtype=np.int32).ravel()
+    row_at, slice_at = piece * (m + 1), (piece * (step + 1) + local) * (step + 1)
+
+    def below(i: np.ndarray, v: np.ndarray) -> np.ndarray:
+        at = row_at[i] + v
+        return coarse[at] + fine[slice_at[i] + share[at]]
+
+    # cx[r]: the anchor rows of x rank below r, as runs of 0, 1, ..., m.
+    cx, cy = (np.repeat(np.arange(m + 1), np.diff(np.concatenate(([-1], r, [size]))))
+              for r in (lx[:m][by_x], np.sort(ly[:m])))
+    i, i_at, j, j_at = cx[lx], cx[1:][lx], cy[ly], cy[1:][ly]
+    starts = np.concatenate(([0], ends[:-1]))
+    counts = np.add.reduceat(np.append(i - below(i, j_at) + j - below(i_at, j), 0), starts)
+    counts[starts == ends] = 0
+    counts[1] += counts[0] // 2  # both rows of a pair inside the anchor counted it
+    return counts[1:]
+
+
+def _rolling_kendall(panel: PanelDataset, window: int) -> list[float | None]:
+    """scipy's tau-b of each run of ``window`` periods, bit for bit: each
+    window's discordant and tied pairs slide from the last window's."""
+    order = np.argsort(panel.time, kind="stable")
+    # Dense ranks: equal values, -0.0 and 0.0 too, share one.
+    rx, ry = (np.unique(v, return_inverse=True)[1][order] for v in (panel.signal, panel.outcome))
+    rxy = np.unique(rx * (int(ry.max()) + 1) + ry, return_inverse=True)[1]
+    _, period, sizes = np.unique(panel.time, return_inverse=True, return_counts=True)
+    period, bounds, periods = period[order], np.concatenate(([0], sizes.cumsum())), sizes.size
+    # Discordant pairs of each period with itself and the later (first) or
+    # the earlier (last) periods less than ``window`` apart.
+    first, last = np.zeros(periods, np.int64), np.zeros(periods, np.int64)
+    for a0 in range(0, periods, window):
+        # Ranks local to the rows that this block's anchors see.
+        lo, hi = bounds[a0], bounds[min(a0 + 2 * window - 1, periods)]
+        lx, ly = (np.unique(r[lo:hi], return_inverse=True)[1] for r in (rx, ry))
+        for a in range(a0, min(a0 + window, periods)):
+            stop = min(a + window, periods)
+            for start in range(bounds[a], bounds[a + 1], _ANCHOR_ROWS):
+                end = min(start + _ANCHOR_ROWS, bounds[a + 1])
+                ends = np.concatenate(([end], bounds[a + 1 : stop + 1])) - start
+                rows = slice(start - lo, bounds[stop] - lo)
+                found = _discordant(lx[rows], ly[rows], hi - lo, ends)
+                first[a] += found.sum()
+                last[a:stop] += found
+    # Each period's distinct ranks and their counts, for x, y and (x, y).
+    parts = []
+    for r in (rx, ry, rxy):
+        size = int(r.max()) + 1
+        keys, counts = np.unique(period * size + r, return_counts=True)
+        at = np.searchsorted(keys, np.arange(periods + 1) * size)
+        parts.append((keys % size, counts, at, np.zeros(size, np.int64)))
+    pairs = [0, 0, 0, 0]  # discordant, x-tied, y-tied, tied in both
+
+    def move(a: int, sign: int) -> None:
+        pairs[0] += int(last[a]) if sign > 0 else -int(first[a])
+        for n, (keys, counts, at, tally) in enumerate(parts, 1):
+            ranks, k = keys[at[a] : at[a + 1]], sign * counts[at[a] : at[a + 1]]
+            # c rows of one rank hold c(c-1)/2 tied pairs; c becomes c + k.
+            pairs[n] += int(k @ (2 * tally[ranks] + k - 1)) // 2
+            tally[ranks] += k
+
+    out: list[float | None] = []
+    for e in range(periods):
+        move(e, 1)
+        if e >= window:
+            move(e - window, -1)
+        if e < window - 1:
+            continue
+        n = int(bounds[e + 1] - bounds[e + 1 - window])
+        tot, (dis, xtie, ytie, ntie) = n * (n - 1) // 2, pairs
+        if xtie == tot or ytie == tot:
+            out.append(None)  # where scipy gives NaN
+            continue
+        tau = (tot - xtie - ytie + ntie - 2 * dis) / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+        out.append(min(1.0, max(-1.0, tau)))
+    return out
 
 
 def rolling_correlation(
@@ -498,7 +591,11 @@ def rolling_correlation(
     Each window spans ``window`` consecutive distinct time indices and pools
     every observation (all units) inside it.  Returns (window-end time, value)
     pairs; a window whose signal or outcome is constant yields None.  Kendall
-    correlations use the tie-corrected tau-b statistic.
+    correlations use the tie-corrected tau-b statistic, equal bit for bit to
+    scipy's ``kendalltau``.  All windows of W periods, N rows and m rows
+    per period share one count in O(N·(√M + W·m/M)) time, M = min(m, 4096).
+    With 10,000 or more rows per period and few windows, scipy's merge
+    count per window, once imported, is up to about 10x faster.
     """
     if kind not in ("pearson", "kendall"):
         raise ValidationError(f"correlation kind must be 'pearson' or 'kendall', got {kind!r}")
@@ -509,10 +606,11 @@ def rolling_correlation(
         raise ValidationError(
             f"window {window} exceeds the {ts.size} distinct time indices in the panel"
         )
-    corr = _pearson if kind == "pearson" else _kendall
+    if kind == "kendall":
+        return [(int(t), tau) for t, tau in zip(ts[window - 1 :], _rolling_kendall(panel, window))]
     out: list[tuple[int, float | None]] = []
     for j in range(window - 1, ts.size):
         lo, hi = ts[j - window + 1], ts[j]
         mask = (panel.time >= lo) & (panel.time <= hi)
-        out.append((int(ts[j]), corr(panel.signal[mask], panel.outcome[mask])))
+        out.append((int(ts[j]), _pearson(panel.signal[mask], panel.outcome[mask])))
     return out

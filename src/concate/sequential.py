@@ -191,8 +191,8 @@ def scan(
             )
 
         if min(n1, n0) < min_group:
-            side = "treated" if n1 < min_group else "control"
-            return row(None, f"{side} arm below min_group ({min(n1, n0)} < {min_group})")
+            side, size = ("treated", n1) if n1 <= n0 else ("control", n0)
+            return row(None, f"{side} arm below min_group ({size} < {min_group})")
         stats = group_stats(panel, assignment)
         try:
             band = compute_band(stats, method, alpha_u, options)

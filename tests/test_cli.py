@@ -115,6 +115,32 @@ class TestDescribe:
         assert lines[1].split(",")[0] == str(first_time)
         assert abs(float(lines[1].split(",")[1]) - first_r) < 1e-8
 
+    def test_rolling_csv_is_pinned(self, tmp_path, capsys):
+        """A seeded null panel of 300 units over 10 periods, window 4; the
+        digest was recorded with the per-window scipy tau-b."""
+        path = tmp_path / "null.csv"
+        write_panel_csv(make_null_panel(300, 10, seed=11), path)
+        out = tmp_path / "rolling.csv"
+        assert main(["describe", str(path), "--rolling", str(out), "--window", "4"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "371ea0e464b8a6580660ab672c898733d47869a6795523c0fcfd6b46f7159c2f"
+        )
+
+    def test_window_below_two_is_rejected_without_rolling(self, tmp_path, capsys):
+        rc = main(["describe", demo_csv(tmp_path), "--window", "1"])
+        assert rc == 2
+        assert "window must be at least 2, got 1" in capsys.readouterr().err
+
+    def test_window_below_two_is_rejected_before_the_panel_is_read(self, tmp_path, capsys):
+        """The panel does not exist: reading it would exit 3."""
+        out = tmp_path / "rolling.csv"
+        rc = main(["describe", str(tmp_path / "absent.csv"), "--rolling", str(out),
+                   "--window", "-5"])
+        assert rc == 2
+        assert "window must be at least 2, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_group_filter(self, tmp_path, capsys):
         path = write(tmp_path, GROUPED)
         rc = main(["describe", path, "--group-col", "sector", "--group-filter", "fin"])
@@ -911,6 +937,27 @@ class TestParser:
             main(["simulate", "--dgp", "G", "--reps", "5"])
         assert err.value.code == 2
         capsys.readouterr()
+
+
+def test_a_rolling_describe_loads_no_scipy(tmp_path):
+    """The rolling Kendall tau-b is counted in numpy."""
+    path = demo_csv(tmp_path)
+    code = (
+        "import sys; from concate.cli import main; "
+        f"rc = main(['describe', {path!r}, '--rolling', {str(tmp_path / 'r.csv')!r}]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(concate.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "r.csv").read_text().count("\n") == 4
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -1,7 +1,12 @@
 """Tests for CSV panel ingestion, treatment assignment, and descriptives."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from concate import panel as panel_module
@@ -460,7 +465,66 @@ class TestSummaryStats:
         assert abs(s.kurtosis - (-1.2)) < 0.05
 
 
+def scipy_rolling_kendall(panel, window):
+    """tau-b window by window, as scipy gives it; None for its NaN."""
+    ts = panel.times()
+    out = []
+    for j in range(window - 1, ts.size):
+        mask = (panel.time >= ts[j - window + 1]) & (panel.time <= ts[j])
+        tau = sps.kendalltau(panel.signal[mask], panel.outcome[mask]).statistic
+        out.append((int(ts[j]), None if math.isnan(tau) else tau))
+    return out
+
+
+def assert_same_kendall(panel, window):
+    got = rolling_correlation(panel, window, kind="kendall")
+    assert got == scipy_rolling_kendall(panel, window)
+    assert all(tau is None or type(tau) is float for _, tau in got)
+
+
+@st.composite
+def tied_panels(draw):
+    """Tie-heavy panels with rows out of order, gaps in time, singleton
+    periods, constant windows and -0.0 next to 0.0, and a window up to all
+    of the periods."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    periods = draw(st.integers(2, 8))
+    times = rng.choice(np.arange(-20, 40), periods, replace=False)
+    time = np.repeat(times, rng.integers(1, draw(st.sampled_from([2, 6, 40])), periods))
+    n = time.size
+    signals = [[50.0], [0.0, -0.0, 100.0], [0.0, -0.0, 3.0, 99.5]]
+    signal = rng.choice(draw(st.sampled_from(signals)), n)
+    if draw(st.booleans()):
+        signal = rng.uniform(0.0, 100.0, n).round(draw(st.integers(0, 2)))
+    outcomes = [[1.0], [-0.0, 0.0, -1.0], [-0.0, 2.5, -1.0, 7.0]]
+    outcome = rng.choice(draw(st.sampled_from(outcomes)), n)
+    if draw(st.booleans()):
+        outcome = rng.standard_normal(n).round(draw(st.integers(0, 3)))
+    mixed = rng.permutation(n)
+    panel = small_panel(signal[mixed], outcome=outcome[mixed], time=time[mixed])
+    return panel, draw(st.integers(2, periods))
+
+
 class TestRollingCorrelation:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_panels(), st.sampled_from([3, 7, panel_module._ANCHOR_ROWS]))
+    def test_kendall_equals_scipy_on_tied_panels(self, drawn, anchor_rows):
+        """Anchors of 3 and 7 rows split most periods into several."""
+        with mock.patch.object(panel_module, "_ANCHOR_ROWS", anchor_rows):
+            assert_same_kendall(*drawn)
+
+    def test_kendall_equals_scipy_across_anchors_of_a_large_tied_period(self):
+        """A 5,000-row period of a few distinct values is two anchors."""
+        rng = np.random.default_rng(23)
+        sizes = [5000, 30, 4500, 1]
+        time = np.repeat([1, 2, 4, 9], sizes)
+        signal = rng.choice([0.0, 10.0, 20.0, 55.5, 90.0], time.size)
+        outcome = rng.integers(-3, 4, time.size).astype(float)
+        panel = small_panel(signal, outcome=outcome, time=time)
+        assert sizes[0] > panel_module._ANCHOR_ROWS
+        for window in (2, 3, 4):
+            assert_same_kendall(panel, window)
+
     def test_perfect_linear_relation(self):
         time = np.repeat(np.arange(1, 7), 3)
         rng = np.random.default_rng(1)

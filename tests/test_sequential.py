@@ -291,6 +291,16 @@ class TestScan:
             "on 1 of 3 looks: treated arm below min_group (1302 < 1500)"
         )
 
+    def test_a_skip_with_both_arms_short_names_the_smaller(self):
+        """At 20 the treated arm holds 2,931 of the 4,300 rows: the control
+        arm is the smaller of the two below min_group."""
+        panel = make_tipping_demo_panel()
+        with pytest.raises(EmptyScanError) as err:
+            scan(panel, ThresholdGrid(taus=(20.0,)), "hybrid", min_group=4300)
+        assert str(err.value).endswith(
+            "on 1 of 1 looks: control arm below min_group (1369 < 4300)"
+        )
+
     def test_min_group_zero_retains_empty_arm_thresholds_as_degenerate(self):
         panel = make_tipping_demo_panel()
         res = scan(panel, ThresholdGrid(taus=(40.0, 70.0)), "hybrid", min_group=0)
