@@ -268,8 +268,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     options, resolved = _resolve_band_options(args)
     resolved["tau"] = args.tau
     panel = _load_panel(args)
-    assignment = assign_treatment(panel, args.tau)
-    stats = group_stats(panel, assignment)
+    stats = group_stats(panel, assign_treatment(panel, args.tau))
     band = compute_band(stats, args.method, args.alpha, options)
     print(
         f"threshold {args.tau:g}: n_treated={band.n_treated} n_control={band.n_control}"

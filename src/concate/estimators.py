@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArmError, ValidationError
-from .panel import PanelDataset, TreatmentAssignment
+from .panel import PanelDataset
 
 #: Variances of the naive method's Wald interval (see ``concate.bands``).
 VARIANCE_MODES = ("welch", "contrast")
@@ -106,9 +106,9 @@ def split_arms(outcome: np.ndarray, treated: np.ndarray) -> GroupStats:
     )
 
 
-def group_stats(panel: PanelDataset, assignment: TreatmentAssignment) -> GroupStats:
-    """Arm statistics for a panel under a threshold assignment."""
-    return split_arms(panel.outcome, assignment.treated)
+def group_stats(panel: PanelDataset, treated: np.ndarray) -> GroupStats:
+    """Arm statistics for a panel under a treated mask."""
+    return split_arms(panel.outcome, treated)
 
 
 def empirical_quantile(values_sorted: np.ndarray, p: float) -> float:

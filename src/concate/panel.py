@@ -6,9 +6,12 @@ through :class:`PanelSchema`.  Rows with a missing outcome or signal are
 dropped listwise and counted; structurally broken rows (bad unit or time,
 unparseable or infinite numbers, out-of-range signals) raise instead.
 
-Ingest runs numpy's C tokenizer over the whole file.  A file it would read
-differently from the csv module and int()/float(), or one with a row to
-reject, goes to a row-by-row parser, which is the only error reporter.
+Ingest runs numpy's C tokenizer over the whole file, reading unit and
+group cells as Python strings and numbers and times in numpy's own types.
+A file it would read differently from the csv module and int()/float(),
+or one with a row to reject, goes to a row-by-row parser, which is the
+only error reporter.  Either parser drops a byte-order mark before the
+header.
 """
 
 from __future__ import annotations
@@ -115,15 +118,6 @@ class PanelDataset:
 
 
 @dataclass(frozen=True)
-class TreatmentAssignment:
-    """Threshold rule Z = 1{signal >= threshold} evaluated on a panel."""
-
-    treated: np.ndarray
-    n_treated: int
-    n_control: int
-
-
-@dataclass(frozen=True)
 class SummaryStats:
     """Per-variable descriptive statistics.
 
@@ -191,10 +185,9 @@ def load_csv(path: str | Path, schema: PanelSchema | None = None) -> PanelDatase
     return panel if panel is not None else _load_rows(path, schema)
 
 
-#: The byte widths of the fast path's text and numeric cells.  numpy cuts a
-#: longer cell short without a word, so a cell that fills its width sends
-#: the file to the row parser.
-_TEXT_WIDTH = 48
+#: The byte width of the fast path's numeric cells.  numpy cuts a longer
+#: cell short without a word, so a cell that fills its width sends the file
+#: to the row parser.
 _NUMBER_WIDTH = 32
 
 #: Data rows read first to see which numeric columns hold a missing marker.
@@ -205,8 +198,10 @@ _MISSING_BYTES = np.array(sorted(m.encode() for m in MISSING_MARKERS))
 _MARKER_LENGTH = _MISSING_BYTES.itemsize
 
 #: Bytes numpy's reader takes differently from the csv module and int(): a
-#: trailing NUL vanishes from a fixed-width byte cell, and numpy's integer
-#: parser skips \x1c-\x1f as blanks.
+#: trailing NUL vanishes from a numeric byte cell, and numpy's integer
+#: parser skips \x1c-\x1f as blanks.  Unit and group cells, Python strings,
+#: keep both, so only numbers and times need this guard, though it scans
+#: the whole file.
 _UNREAD_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
@@ -250,31 +245,19 @@ def _number_column(cells: np.ndarray) -> np.ndarray:
     return cells.astype(np.float64)
 
 
-def _text_column(cells: np.ndarray) -> np.ndarray:
-    """Byte cells as stripped strings in a fixed-width unicode array.
-
-    numpy stores one code point per byte (Latin-1) and rejects a cell with
-    a wider one, so widening each byte decodes the cell.
-    """
-    width = max(int(np.char.str_len(cells).max()), 1)
-    if width == cells.itemsize:
-        raise ValueError("a cell fills its byte width")
-    codes = cells.astype(f"S{width}").view(np.uint8).astype(np.uint32)
-    return np.char.strip(codes.view(f"U{width}"))
-
-
 def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
     """Fast path of :func:`load_csv`: numpy's C tokenizer reads the file in
     one ``np.loadtxt`` pass after a probe of its first rows.  Times are
     read as int64, a numeric column with no missing marker in the probe as
-    float64, and the other mapped columns as fixed-width byte cells, which
-    are then converted whole.
+    float64, the other numeric columns as fixed-width byte cells, which are
+    then converted whole, and unit and group cells as Python strings, which
+    are stripped as the row parser strips them.
 
     Returns None for anything the row parser must report or decide, and
     for anything numpy would read differently from it: a missing column, a
     header spanning lines, two mapped names on one column, a row whose
     width differs from the header's, a time that is not an int64 literal
-    (``3.0`` included), a cell that fills its byte width, a NUL or
+    (``3.0`` included), a numeric cell that fills its byte width, a NUL or
     \\x1c-\\x1f byte, a line break inside a unit or group of a file with
     carriage returns (numpy translates them), a numeric cell float()
     rejects, an empty unit, an infinite value, an out-of-range signal on a
@@ -291,6 +274,8 @@ def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
         return None
     if header is None or reader.line_num != 1:
         return None
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     index = {name: i for i, name in enumerate(header)}
     names = [schema.unit, schema.time, schema.outcome, schema.signal]
     if schema.group is not None:
@@ -305,9 +290,9 @@ def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
         return None
     # Fields f0, f1, ... in header order.  An unmapped column is read into
     # S0, nothing, but every row's width is still checked against the header.
-    text, number = f"S{_TEXT_WIDTH}", f"S{_NUMBER_WIDTH}"
+    number = f"S{_NUMBER_WIDTH}"
     formats = ["S0"] * len(header)
-    for i, fmt in zip(columns, (text, "i8", number, number, text)):
+    for i, fmt in zip(columns, ("O", "i8", number, number, "O")):
         formats[i] = fmt
     iu, it, iy, i_s, *ig = (f"f{i}" for i in columns)
     try:
@@ -330,14 +315,14 @@ def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
             return None
         outcome = _number_column(data[iy])
         signal = _number_column(data[i_s])
-        unit = _text_column(data[iu])
-        group = _text_column(data[ig[0]]) if ig else None
     except (ValueError, OverflowError):
         return None
-    if not np.char.str_len(unit).all():
+    texts = [data[f] for f in (iu, *ig)]
+    if b"\r" in found and any("\n" in cell for t in texts for cell in t):
         return None
-    texts = [unit] if group is None else [unit, group]
-    if b"\r" in found and any((np.char.find(t, "\n") >= 0).any() for t in texts):
+    strip = np.frompyfunc(str.strip, 1, 1)
+    unit, group = strip(texts[0]), strip(texts[1]) if ig else None
+    if (unit == "").any():
         return None
     if np.isinf(outcome).any() or np.isinf(signal).any():
         return None
@@ -349,14 +334,13 @@ def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
     if ((signal < SIGNAL_MIN) | (signal > SIGNAL_MAX)).any():
         return None
     time = data[it][keep]
-    # Release the byte cells before the strings are made: a lower peak.
-    del data
+    # Release the records and their unstripped cells: a lower peak.
+    del data, texts
     if group is not None:
-        blank = group[keep] == ""
-        group = group[keep].astype(object)
-        group[blank] = None
+        group = group[keep]
+        group[group == ""] = None
     return PanelDataset(
-        unit=unit[keep].astype(object),
+        unit=unit[keep],
         time=time,
         outcome=outcome[keep],
         signal=signal,
@@ -378,6 +362,8 @@ def _load_rows(path: Path, schema: PanelSchema) -> PanelDataset:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise SchemaError(f"{path}: empty file, no header row")
+            if reader.fieldnames:
+                reader.fieldnames[0] = reader.fieldnames[0].removeprefix("\ufeff")
             required = [schema.unit, schema.time, schema.outcome, schema.signal]
             if schema.group is not None:
                 required.append(schema.group)
@@ -421,19 +407,14 @@ def _load_rows(path: Path, schema: PanelSchema) -> PanelDataset:
     )
 
 
-def assign_treatment(panel: PanelDataset, threshold: float) -> TreatmentAssignment:
-    """Split the panel at a diversity threshold: treated iff signal >= threshold."""
+def assign_treatment(panel: PanelDataset, threshold: float) -> np.ndarray:
+    """The treated mask of a split at a diversity threshold: treated iff
+    signal >= threshold."""
     if not SIGNAL_MIN < threshold < SIGNAL_MAX:
         raise ValidationError(
             f"threshold must lie strictly inside ({SIGNAL_MIN:g}, {SIGNAL_MAX:g}), got {threshold}"
         )
-    treated = panel.signal >= threshold
-    n1 = int(np.count_nonzero(treated))
-    return TreatmentAssignment(
-        treated=treated,
-        n_treated=n1,
-        n_control=panel.n - n1,
-    )
+    return panel.signal >= threshold
 
 
 def summary_stats(values: np.ndarray) -> SummaryStats:

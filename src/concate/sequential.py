@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bands import BandOptions, BandResult, compute_band
 from .errors import ConfigurationError, DegenerateArmError, EmptyScanError, ValidationError
@@ -176,8 +177,9 @@ def scan(
 
     def evaluate(item: tuple[float, float]) -> ThresholdResult:
         tau, alpha_u = item
-        assignment = assign_treatment(panel, tau)
-        n1, n0 = assignment.n_treated, assignment.n_control
+        treated = assign_treatment(panel, tau)
+        n1 = int(np.count_nonzero(treated))
+        n0 = panel.n - n1
 
         def row(band: BandResult | None, reason: str | None = None) -> ThresholdResult:
             return ThresholdResult(
@@ -193,7 +195,7 @@ def scan(
         if min(n1, n0) < min_group:
             side, size = ("treated", n1) if n1 <= n0 else ("control", n0)
             return row(None, f"{side} arm below min_group ({size} < {min_group})")
-        stats = group_stats(panel, assignment)
+        stats = group_stats(panel, treated)
         try:
             band = compute_band(stats, method, alpha_u, options)
         except (DegenerateArmError, ConfigurationError) as exc:
@@ -205,6 +207,9 @@ def scan(
     if workers == 1:
         rows = tuple(evaluate(item) for item in items)
     else:
+        # Imported here: concurrent.futures is not needed by a serial scan or by the CLI's import.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(evaluate, items))
 

@@ -164,6 +164,18 @@ class TestDescribe:
         assert rc == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_byte_order_mark_before_the_header_is_dropped(self, tmp_path, capsys):
+        """Spreadsheet tools start a UTF-8 CSV with U+FEFF; both parsers drop it."""
+        assert main(["describe", write(tmp_path, SMALL)]) == 0
+        plain = capsys.readouterr().out
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + SMALL.encode())
+        assert main(["describe", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+        path.write_bytes(b"\xef\xbb\xbf" + SMALL.replace("u3,1,1.0", "u3,1,oops").encode())
+        assert main(["describe", str(path)]) == 3
+        assert "line 4: column 'outcome' has unparseable value 'oops'" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_stdout_at_the_jump(self, tmp_path, capsys):
@@ -962,12 +974,14 @@ def test_a_rolling_describe_loads_no_scipy(tmp_path):
 
 def test_importing_the_cli_loads_no_scipy():
     """Nor numpy.random: only the coverage experiment builds generators.  Nor
-    xml, urllib.request or multiprocessing: the chart escapes with html and
-    only a pooled coverage table starts processes."""
+    xml, urllib.request, multiprocessing, concurrent.futures or logging: the
+    chart escapes with html and only a pooled scan or coverage table starts
+    threads or processes."""
     code = (
         "import sys, concate.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'xml') "
-        "or m.startswith(('numpy.random', 'urllib.request', 'multiprocessing'))))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'xml', 'logging') "
+        "or m.startswith(('numpy.random', 'urllib.request', 'multiprocessing', "
+        "'concurrent.futures'))))"
     )
     src = str(Path(concate.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -225,11 +225,17 @@ INGEST_CASES = [
     ("header only", HEADER, None, False),
     ("empty file", "", None, False),
     ("unit wider than its byte field", HEADER + "f1,1,1.5,40\n" + "u" * 60 + ",1,2.5,60\n", None,
-     False),
+     True),
+    ("unit of 48 bytes", HEADER + "f1,1,1.5,40\n" + "u" * 48 + ",1,2.5,60\n", None, True),
+    ("unit padded with non-ASCII blanks", HEADER + "\xa0f1\x85,1,1.5,40\n\x85f2\xa0,1,2.5,60\n",
+     None, True),
     ("quoted unit and outcome", HEADER + '"a",1,"1.5",40\nb,1,2.5,60\n', None, True),
     ("quote inside an unquoted unit", HEADER + 'a"b,1,1.5,40\nc,1,2.5,60\n', None, True),
     ("Latin-1 unit", HEADER + "é,1,1.5,40\nf2,1,2.5,60\n", None, True),
-    ("CJK unit", HEADER + "公司,1,1.5,40\nf2,1,2.5,60\n", None, False),
+    ("CJK unit", HEADER + "公司,1,1.5,40\nf2,1,2.5,60\n", None, True),
+    ("CJK group label", GROUP_HEADER + "f1,1,1.5,40,金融\nf2,1,2.5,60,tech\n", "sector", True),
+    ("group label of 60 bytes", GROUP_HEADER + "f1,1,1.5,40," + "g" * 60 + "\nf2,1,2.5,60,\n",
+     "sector", True),
     ("CRLF line endings", HEADER.replace("\n", "\r\n") + "f1,1,1.5,40\r\nf2,1,2.5,60\r\n", None,
      True),
     ("CRLF inside a quoted unit", HEADER + '"f\r\n1",1,1.5,40\r\nf2,1,2.5,60\r\n', None, False),
@@ -243,11 +249,29 @@ INGEST_CASES = [
     ("outcome infinity", HEADER + "f1,1,1.5,40\nf2,1,infinity,60\n", None, False),
     ("outcome overflowing to infinity", HEADER + "f1,1,1.5,40\nf2,1,1e400,60\n", None, False),
     ("trailing comma", HEADER + "f1,1,1.5,40,\nf2,1,2.5,60\n", None, False),
-    ("UTF-8 BOM before the header", "\ufeff" + HEADER + "f1,1,1.5,40\n", None, False),
+    ("UTF-8 BOM before the header", "\ufeff" + HEADER + "f1,1,1.5,40\n", None, True),
     ("marker after the probed rows",
      HEADER + "".join(f"f{i},1,{'NA' if i == 1500 else 1.5},{'' if i == 1700 else 40}\n"
                       for i in range(2_000)), None, True),
 ]
+
+
+def _load_without_the_row_parser(path, monkeypatch, schema=None):
+    """``load_csv(path, schema)``, failing if it reaches the row parser,
+    and the formats of each ``_read_cells`` call it made."""
+
+    def refuse(*args):
+        raise AssertionError("load_csv fell back to the row parser")
+
+    read, reads = panel_module._read_cells, []
+
+    def read_cells(path, formats, *args):
+        reads.append(formats)
+        return read(path, formats, *args)
+
+    monkeypatch.setattr(panel_module, "_read_cells", read_cells)
+    monkeypatch.setattr(panel_module, "_load_rows", refuse)
+    return load_csv(path, schema), reads
 
 
 class TestColumnWiseIngest:
@@ -292,23 +316,26 @@ class TestColumnWiseIngest:
             lines.append(f"u{i // 4 + 1:07d},{i % 4 + 1},{y},{rng.uniform(0.0, 100.0):.6f}\n")
         path = write(tmp_path, "".join(lines))
         want = _load_rows(path, PanelSchema())
-
-        def refuse(*args):
-            raise AssertionError("load_csv fell back to the row parser")
-
-        read, reads = panel_module._read_cells, []
-
-        def read_cells(path, formats, *args):
-            reads.append(formats)
-            return read(path, formats, *args)
-
-        monkeypatch.setattr(panel_module, "_read_cells", read_cells)
-        monkeypatch.setattr(panel_module, "_load_rows", refuse)
-        got = load_csv(path)
+        got, reads = _load_without_the_row_parser(path, monkeypatch)
         assert got.n_dropped >= len(markers)
         _assert_same(got, want)
         # the probe, then one full read that parses the marker-free signal
         assert len(reads) == 2 and reads[1][3] == "f8"
+
+    def test_wide_and_non_latin_ids_never_reach_the_row_parser(self, tmp_path, monkeypatch):
+        # ids outside Latin-1 and ids of 60 bytes or more, in units and groups
+        wide = "x" * 60
+        lines = [GROUP_HEADER]
+        for i in range(4_000):
+            unit = ("公司", wide, "f")[i % 3] + str(i // 4)
+            group = ("金融", wide, "", "tech")[i % 4]
+            lines.append(f"{unit},{i % 4 + 1},{i % 7 - 3}.25,{i % 97 + 1.5},{group}\n")
+        path = write(tmp_path, "".join(lines))
+        schema = PanelSchema(group="sector")
+        want = _load_rows(path, schema)
+        got, reads = _load_without_the_row_parser(path, monkeypatch, schema)
+        _assert_same(got, want)
+        assert len(reads) == 2
 
 
 class TestSyntheticApplicationScale:
@@ -332,26 +359,24 @@ class TestSyntheticApplicationScale:
         panel = small_panel(
             signal, time=np.arange(total) % 4
         )
-        assignment = assign_treatment(panel, 50.0)
-        assert assignment.n_treated == 1_126
-        assert assignment.n_control == 24_102
+        treated = assign_treatment(panel, 50.0)
+        assert np.count_nonzero(treated) == 1_126
+        assert np.count_nonzero(~treated) == 24_102
 
 
 class TestAssignTreatment:
     def test_boundary_signal_is_treated(self):
         panel = small_panel([49.9, 50.0, 50.1])
-        assignment = assign_treatment(panel, 50.0)
-        assert list(assignment.treated) == [False, True, True]
-        assert assignment.n_treated == 2
-        assert assignment.n_control == 1
+        treated = assign_treatment(panel, 50.0)
+        assert list(treated) == [False, True, True]
 
     def test_counts_partition_the_panel(self):
         rng = np.random.default_rng(8)
         panel = small_panel(rng.uniform(0, 100, size=500))
         for tau in (5.0, 37.5, 80.0):
-            a = assign_treatment(panel, tau)
-            assert a.n_treated + a.n_control == panel.n
-            assert a.n_treated == int((panel.signal >= tau).sum())
+            treated = assign_treatment(panel, tau)
+            assert treated.dtype == bool and treated.shape == (panel.n,)
+            assert np.count_nonzero(treated) == int((panel.signal >= tau).sum())
 
     def test_threshold_must_be_interior(self):
         panel = small_panel([10.0, 20.0])

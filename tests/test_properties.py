@@ -237,7 +237,7 @@ TIME_CELLS = ["1", "2", "+3", " 3 ", "-1", "3.0", "99999999999999999999", "x", "
               "\xa05", ""]
 NUMBER_CELLS = ["1.5", " 40 ", "50", "-2", "1_000", "infinity", "1e400", "nan", "", "NA", " NA ", ".",
                 "101", '"7"', "0x10", "\xa05", "9" * 40, "1e-5", "+.5", "5\x00", "NULL"]
-GROUP_CELLS = ["fin", "", " ", "tech", "é", '"a,b"', "\x1ct"]
+GROUP_CELLS = ["fin", "", " ", "tech", "é", '"a,b"', "\x1ct", "公司", "g" * 60]
 
 
 @st.composite

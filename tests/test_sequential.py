@@ -1,5 +1,6 @@
 """Tests for band dispatch, alpha spending, and the threshold scan."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -338,7 +339,7 @@ class TestScan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sequential, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(sequential.os, "cpu_count", lambda: 4)
         panel = make_tipping_demo_panel()
         serial = scan(panel, ThresholdGrid.default(), "hybrid")
