@@ -24,11 +24,14 @@ Every replication draws on its own PCG64 stream, seeded exactly as by
 SeedSequence(entropy=base_seed, spawn_key=(design, n, periods,
 replication, attempt)).  Those seeds are derived a block of replications
 at a time in one vectorised pass (``seedseq.SpawnKeys``), and each
-block's first seed is checked against SeedSequence itself.  The
-statistics are scored per block of accepted replications, as masked
-reductions over a (B, N) array.  No replication's numbers depend on its
-neighbours, so outputs are byte-identical for any block size and any
-number of workers.
+block's first seed is checked against SeedSequence itself.  Only the raw
+variates (normals, uniforms, t, chi-squared) are drawn per replication,
+into one row of a (B, ·) buffer; each design's arithmetic, the
+treatment assignment, the two-per-arm acceptance check and the scoring
+then run once per block, as element-wise passes and masked reductions
+over (B, N) arrays.  No replication's numbers depend on its neighbours,
+so outputs are byte-identical for any block size and any number of
+workers.
 """
 
 from __future__ import annotations
@@ -142,47 +145,70 @@ def _replication_seeds(base_seed: int, spec: DgpSpec):
     return SpawnKeys(base_seed, (ord(spec.design), spec.n_units, spec.periods))
 
 
-def _ar1_panel(rng: np.random.Generator, n: int, periods: int) -> np.ndarray:
-    # recursion starts from zero: the first draw is pure innovation
-    y0 = np.empty((n, periods))
-    y0[:, 0] = rng.standard_normal(n)
-    for t in range(1, periods):
-        y0[:, t] = AR_RHO * y0[:, t - 1] + rng.standard_normal(n)
-    return y0
+def _raw_buffers(spec: DgpSpec, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-variate rows for ``rows`` replications: baseline variates ``z``
+    (C, D: then selection noise) and uniforms ``u`` (E: contamination first)."""
+    n_total = spec.n_total
+    z = np.empty((rows, 2 * n_total if spec.design in ("C", "D") else n_total))
+    u = np.empty((rows, 2 * n_total if spec.design == "E" else n_total))
+    return z, u
+
+
+def _draw(design: str, rng: np.random.Generator, z: np.ndarray, u: np.ndarray) -> None:
+    """Fill one replication's rows of the raw buffers in the frozen draw
+    order: baseline variates first (for E the contamination uniforms,
+    then the normals; for C and D the innovations period by period), then
+    the selection noise (C, D only), then the treatment uniforms."""
+    if design == "E":
+        rng.random(out=u[:z.size])
+        rng.standard_normal(out=z)
+        rng.random(out=u[z.size:])
+        return
+    if design in ("A", "C", "D"):
+        rng.standard_normal(out=z)
+    elif design == "B":
+        z[:] = rng.standard_t(STUDENT_T_DF, z.size)
+    elif design == "F":
+        z[:] = rng.chisquare(CHI_SQUARE_DF, z.size)
+    else:
+        z[:] = rng.uniform(*UNIFORM_LIMITS, z.size)
+    rng.random(out=u)
+
+
+def _outcomes(spec: DgpSpec, z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Baseline outcomes and treatment, both (B, N) in unit-major order,
+    from B rows of raw variates.  The AR(1) recursion of C and D starts
+    from zero: the first period is pure innovation."""
+    n, periods, design = spec.n_units, spec.periods, spec.design
+    rows, n_total = u.shape[0], spec.n_total
+    if design == "B":
+        y0 = z / math.sqrt(3.0)
+    elif design in ("C", "D"):
+        innovations = z[:, :n_total].reshape(rows, periods, n)
+        panel = np.empty((rows, n, periods))
+        panel[:, :, 0] = innovations[:, 0]
+        for t in range(1, periods):
+            panel[:, :, t] = AR_RHO * panel[:, :, t - 1] + innovations[:, t]
+        y0 = panel.reshape(rows, n_total)
+        slope = -SELECTION_SLOPE if design == "C" else SELECTION_SLOPE
+        eta = SELECTION_NOISE_SD * z[:, n_total:]
+        # np.exp sees a contiguous array, as in a one-replication draw
+        prob = 1.0 / (1.0 + np.exp(-(slope * y0 + eta)))
+        return y0, u < prob
+    elif design == "E":
+        c = u[:, :n_total]
+        y0 = np.where(c < CONTAMINATION_PROB, -CONTAMINATION_VALUE,
+                      np.where(c >= 1.0 - CONTAMINATION_PROB, CONTAMINATION_VALUE, z))
+    else:
+        y0 = z
+    return y0, u[:, -n_total:] < TREATMENT_SHARE
 
 
 def generate(spec: DgpSpec, rng: np.random.Generator) -> SimulatedData:
-    """Draw one replication.  The draw order per design is fixed:
-    baseline outcomes first, then selection noise (C, D only), then the
-    treatment uniforms."""
-    n, periods = spec.n_units, spec.periods
-    shape = (n, periods)
-    design = spec.design
-    if design == "A":
-        y0 = rng.standard_normal(shape)
-    elif design == "B":
-        y0 = rng.standard_t(STUDENT_T_DF, shape) / math.sqrt(3.0)
-    elif design in ("C", "D"):
-        y0 = _ar1_panel(rng, n, periods)
-    elif design == "E":
-        u = rng.random(shape)
-        z = rng.standard_normal(shape)
-        y0 = np.where(
-            u < CONTAMINATION_PROB,
-            -CONTAMINATION_VALUE,
-            np.where(u >= 1.0 - CONTAMINATION_PROB, CONTAMINATION_VALUE, z),
-        )
-    elif design == "F":
-        y0 = rng.chisquare(CHI_SQUARE_DF, shape)
-    else:
-        y0 = rng.uniform(*UNIFORM_LIMITS, shape)
-    if design in ("C", "D"):
-        slope = -SELECTION_SLOPE if design == "C" else SELECTION_SLOPE
-        eta = SELECTION_NOISE_SD * rng.standard_normal(shape)
-        prob = 1.0 / (1.0 + np.exp(-(slope * y0 + eta)))
-        d = rng.random(shape) < prob
-    else:
-        d = rng.random(shape) < TREATMENT_SHARE
+    """Draw one replication: the one-row case of the block path."""
+    z, u = _raw_buffers(spec, 1)
+    _draw(spec.design, rng, z[0], u[0])
+    y0, d = (a.reshape(spec.n_units, spec.periods) for a in _outcomes(spec, z, u))
     return SimulatedData(y0=y0, d=d, y=y0 + spec.delta * d)
 
 
@@ -278,12 +304,14 @@ def run_cell(
 
     A replication whose treatment split leaves fewer than 2 observations
     in either arm is redrawn from the next attempt stream; redraws are
-    counted and reported, never silently absorbed.  Accepted draws are
-    copied into (B, N) buffers and scored a block at a time, with
-    B = max(1, BLOCK_ELEMENTS // N).  The block's generator seeds are
-    derived together, and the first is checked against
+    counted and reported, never silently absorbed.  Replications run a
+    block of B = max(1, BLOCK_ELEMENTS // N) at a time.  The block's
+    generator seeds are derived together, and the first is checked against
     ``replication_seed``: a mismatch raises ConfigurationError rather
-    than silently changing the streams.
+    than silently changing the streams.  Each replication's generator then
+    fills only its row of raw variates; the outcomes, the treatment, the
+    acceptance check and the scoring run once over the block.  A rejected
+    row is redrawn through ``generate``, one attempt at a time.
     """
     from .seedseq import FixedState
 
@@ -306,8 +334,7 @@ def run_cell(
     entropy = int(base_seed)
     seeds = _replication_seeds(entropy, spec)
     block = max(1, BLOCK_ELEMENTS // n_total)
-    y0_buf = np.empty((block, n_total))
-    d_buf = np.empty((block, n_total), dtype=bool)
+    z_buf, u_buf = _raw_buffers(spec, block)
     hits_hybrid = 0
     hits_manski = 0
     redraws = 0
@@ -319,24 +346,26 @@ def run_cell(
             raise ConfigurationError(
                 f"replication {first}: the vectorised seed differs from numpy's SeedSequence"
             )
+        z, u = z_buf[:rows], u_buf[:rows]
         for row in range(rows):
-            rep = first + row
-            state = states[row]
-            for attempt in range(1000):
-                if attempt:
-                    state = seeds.states(rep, attempt)[0]
-                data = generate(spec, np.random.Generator(np.random.PCG64(FixedState(state))))
-                n1 = int(data.d.sum())
-                if 2 <= n1 <= data.d.size - 2:
-                    break
+            rng = np.random.Generator(np.random.PCG64(FixedState(states[row])))
+            _draw(spec.design, rng, z[row], u[row])
+        y0, d = _outcomes(spec, z, u)
+        n1 = np.count_nonzero(d, axis=1)
+        for row in np.flatnonzero((n1 < 2) | (n1 > n_total - 2)):
+            rep = first + int(row)
+            for attempt in range(1, 1000):
                 redraws += 1
+                state = seeds.states(rep, attempt)[0]
+                data = generate(spec, np.random.Generator(np.random.PCG64(FixedState(state))))
+                if 2 <= np.count_nonzero(data.d) <= n_total - 2:
+                    break
             else:
                 raise ConfigurationError(
                     f"replication {rep}: 1000 consecutive draws left an arm empty"
                 )
-            y0_buf[row] = data.y0.ravel()
-            d_buf[row] = data.d.ravel()
-        y0, d = y0_buf[:rows], d_buf[:rows]
+            y0[row] = data.y0.ravel()
+            d[row] = data.d.ravel()
         bands = _replication_intervals(y0, y0 + spec.delta * d, d, spec.design, alpha)
         if manski_variant == "plugin":
             hits_manski += _hits(bands.manski_lower, bands.manski_upper, spec.delta)

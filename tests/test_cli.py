@@ -790,6 +790,21 @@ class TestSimulate:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
         capsys.readouterr()
 
+    def test_five_period_autoregressive_outputs_are_pinned(self, tmp_path, capsys):
+        """Digests recorded from the one-replication-at-a-time draws: pins
+        the period-by-period AR(1) recursion of designs C and D at T = 5."""
+        out, report = tmp_path / "cov.csv", tmp_path / "cov.json"
+        rc = main([
+            "simulate", "--dgp", "C,D", "--T", "5", "--reps", "200", "--seed", "7",
+            "--out", str(out), "--json", str(report),
+        ])
+        assert rc == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "fbbb24601ca2dd10a7b3acbb2919aa79c4d23f8d4386b250b8f62d33869f2717")
+        assert (hashlib.sha256(report.read_bytes()).hexdigest()
+                == "b32a09a3e0c9111deacba998ea58237e0dac882a4d98478633382384aaa35e6c")
+        capsys.readouterr()
+
     def test_validation_exit_codes(self, tmp_path, capsys):
         out = str(tmp_path / "cov.csv")
         assert main(["simulate", "--dgp", "Z", "--reps", "5", "--out", out]) == 2

@@ -13,12 +13,22 @@ from concate.errors import ConfigurationError, ValidationError
 from concate.estimators import split_arms
 from concate.manski import bound_gradients, known_support, manski_region, sampling_covariance
 from concate.montecarlo import (
+    AR_RHO,
     BLOCK_ELEMENTS,
+    CHI_SQUARE_DF,
+    CONTAMINATION_PROB,
+    CONTAMINATION_VALUE,
     MANSKI_VARIANTS,
     MAX_REPS,
     MC_DESIGNS,
+    SELECTION_NOISE_SD,
+    SELECTION_SLOPE,
+    STUDENT_T_DF,
+    TREATMENT_SHARE,
+    UNIFORM_LIMITS,
     CellCoverage,
     DgpSpec,
+    SimulatedData,
     _replication_intervals,
     _replication_seeds,
     coverage_table,
@@ -38,14 +48,61 @@ BIG = 200_000
 REL_TOL = 1e-12
 
 
+def _reference_ar1_panel(rng, n, periods):
+    # recursion starts from zero: the first draw is pure innovation
+    y0 = np.empty((n, periods))
+    y0[:, 0] = rng.standard_normal(n)
+    for t in range(1, periods):
+        y0[:, t] = AR_RHO * y0[:, t - 1] + rng.standard_normal(n)
+    return y0
+
+
+def reference_generate(spec, rng):
+    """The one-replication draw as it stood before the block path, frozen:
+    the streams every pinned output was recorded from."""
+    n, periods = spec.n_units, spec.periods
+    shape = (n, periods)
+    design = spec.design
+    if design == "A":
+        y0 = rng.standard_normal(shape)
+    elif design == "B":
+        y0 = rng.standard_t(STUDENT_T_DF, shape) / math.sqrt(3.0)
+    elif design in ("C", "D"):
+        y0 = _reference_ar1_panel(rng, n, periods)
+    elif design == "E":
+        u = rng.random(shape)
+        z = rng.standard_normal(shape)
+        y0 = np.where(
+            u < CONTAMINATION_PROB,
+            -CONTAMINATION_VALUE,
+            np.where(u >= 1.0 - CONTAMINATION_PROB, CONTAMINATION_VALUE, z),
+        )
+    elif design == "F":
+        y0 = rng.chisquare(CHI_SQUARE_DF, shape)
+    else:
+        y0 = rng.uniform(*UNIFORM_LIMITS, shape)
+    if design in ("C", "D"):
+        slope = -SELECTION_SLOPE if design == "C" else SELECTION_SLOPE
+        eta = SELECTION_NOISE_SD * rng.standard_normal(shape)
+        prob = 1.0 / (1.0 + np.exp(-(slope * y0 + eta)))
+        d = rng.random(shape) < prob
+    else:
+        d = rng.random(shape) < TREATMENT_SHARE
+    return SimulatedData(y0=y0, d=d, y=y0 + spec.delta * d)
+
+
+def attempt_rng(spec, base_seed, rep, attempt):
+    return np.random.default_rng(
+        replication_seed(base_seed, spec.design, spec.n_units, spec.periods, rep, attempt)
+    )
+
+
 def oracle_draws(spec, n_reps, base_seed):
-    """(replication data, redraws before it) from a straight attempt loop."""
+    """(replication data, redraws before it) from a straight attempt loop
+    over the frozen reference draw."""
     for rep in range(n_reps):
         for attempt in range(1000):
-            rng = np.random.default_rng(
-                replication_seed(base_seed, spec.design, spec.n_units, spec.periods, rep, attempt)
-            )
-            data = generate(spec, rng)
+            data = reference_generate(spec, attempt_rng(spec, base_seed, rep, attempt))
             if 2 <= int(data.d.sum()) <= data.d.size - 2:
                 break
         yield data, attempt
@@ -215,6 +272,40 @@ class TestReplicationSeed:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("n_units, periods", [(2, 2), (4, 1), (7, 5), (50, 1), (50, 5)])
+    @pytest.mark.parametrize("design", MC_DESIGNS)
+    def test_block_rows_and_generate_match_the_frozen_reference(
+        self, monkeypatch, design, n_units, periods
+    ):
+        """Bit for bit: the rows run_cell scores (drawn per row, computed
+        per block, redrawn where rejected) and every attempt of generate."""
+        spec = DgpSpec(design=design, n_units=n_units, periods=periods)
+        n_reps = BLOCK_ELEMENTS // 250 + 5
+        scored = []
+        score = montecarlo._replication_intervals
+
+        def recording(y0, y, d, *args):
+            scored.append((y0.copy(), d.copy()))
+            return score(y0, y, d, *args)
+
+        monkeypatch.setattr(montecarlo, "_replication_intervals", recording)
+        cell = run_cell(spec, n_reps, base_seed=5)
+        y0 = np.concatenate([rows for rows, _ in scored])
+        d = np.concatenate([rows for _, rows in scored])
+        want = list(oracle_draws(spec, n_reps, base_seed=5))
+        assert cell.redraws == sum(attempt for _, attempt in want)
+        assert cell.redraws > 0 or spec.n_total > 4
+        for rep, (data, attempt) in enumerate(want):
+            assert np.array_equal(y0[rep].view(np.uint64), data.y0.ravel().view(np.uint64))
+            assert np.array_equal(d[rep], data.d.ravel())
+            for tried in range(attempt + 1):
+                got = generate(spec, attempt_rng(spec, 5, rep, tried))
+                ref = reference_generate(spec, attempt_rng(spec, 5, rep, tried))
+                assert got.y0.shape == got.d.shape == got.y.shape == (n_units, periods)
+                assert np.array_equal(got.y0.view(np.uint64), ref.y0.view(np.uint64))
+                assert np.array_equal(got.d, ref.d)
+                assert np.array_equal(got.y.view(np.uint64), ref.y.view(np.uint64))
+
     def test_shapes_and_effect(self):
         spec = DgpSpec(design="A", n_units=40, periods=3, delta=4.0)
         rng = np.random.default_rng(1)
@@ -332,6 +423,7 @@ class TestRunCell:
             with pytest.raises(ValidationError, match="base_seed"):
                 run_cell(spec, n_reps=10, base_seed=seed)
         monkeypatch.setattr(montecarlo, "generate", None)
+        monkeypatch.setattr(montecarlo, "_draw", None)
         with pytest.raises(ValidationError, match="1,000,000"):
             run_cell(spec, n_reps=MAX_REPS + 1)
 
@@ -340,6 +432,7 @@ class TestRunCell:
         self, monkeypatch, alpha
     ):
         monkeypatch.setattr(montecarlo, "generate", None)
+        monkeypatch.setattr(montecarlo, "_draw", None)
         for design in ("A", "F"):
             with pytest.raises(ValidationError, match="alpha must lie in"):
                 run_cell(DgpSpec(design=design), n_reps=10, alpha=alpha)
@@ -351,8 +444,15 @@ class TestRunCell:
         spec = DgpSpec(design="A", n_units=n_units, periods=periods)
         generate(spec, np.random.default_rng(0))
         monkeypatch.setattr(montecarlo, "generate", None)
+        monkeypatch.setattr(montecarlo, "_draw", None)
         with pytest.raises(ValidationError, match="at least 4 observations"):
             run_cell(spec, n_reps=5)
+
+    def test_a_replication_that_never_splits_stops_the_cell(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "TREATMENT_SHARE", 0.0)
+        with pytest.raises(ConfigurationError,
+                           match="^replication 0: 1000 consecutive draws left an arm empty$"):
+            run_cell(DgpSpec(design="A", n_units=2, periods=2), n_reps=5)
 
     def test_four_observations_are_enough(self):
         cell = run_cell(DgpSpec(design="A", n_units=2, periods=2), n_reps=5, base_seed=1)
