@@ -216,8 +216,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
     print(f"# rows retained: {panel.n}, dropped (missing outcome/signal): {panel.n_dropped}")
 
     if args.rolling:
-        n_times = panel.times().size
-        window = args.window if args.window is not None else n_times // 2
+        window = args.window or max(2, panel.times().size // 2)
         pearson = rolling_correlation(panel, window, kind="pearson")
         kendall = rolling_correlation(panel, window, kind="kendall")
         with Path(args.rolling).open("w", newline="") as fh:
@@ -238,6 +237,8 @@ def cmd_describe(args: argparse.Namespace) -> int:
             "n_dropped": panel.n_dropped,
             "variables": {name: asdict(s) for name, s in variables.items()},
         }
+        if args.rolling:
+            payload["window"] = window
         _write_json(args.json, payload)
     return EXIT_OK
 
@@ -266,6 +267,7 @@ def _band_payload(band) -> dict:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     options, resolved = _resolve_band_options(args)
+    ThresholdGrid((args.tau,))  # checks --tau before the panel is read
     resolved["tau"] = args.tau
     panel = _load_panel(args)
     stats = group_stats(panel, assign_treatment(panel, args.tau))

@@ -28,8 +28,6 @@ from .manski import (
 )
 from .stats import long_run_variance
 
-SIDES = ("one", "two")
-
 
 def _finite(name: str, value: object) -> float:
     """``value`` if it is a finite real number (a bool is not); else ValidationError."""
@@ -128,16 +126,6 @@ class BandOptions:
             )
 
 
-def _check_level(alpha_u: float) -> None:
-    if not 0.0 < alpha_u < 1.0:
-        raise ValidationError(f"alpha_u must lie in (0, 1), got {alpha_u}")
-
-
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
-
-
 def dkw_epsilon(
     alpha_u: float,
     n: int,
@@ -152,18 +140,10 @@ def dkw_epsilon(
     Mixing case: (1 + 4 c_alpha) * sqrt(2 log(budget / alpha_u) / n).
     At its defaults (two-sided, budget 12) it is the Hoeffding share padding.
     """
-    _check_level(alpha_u)
-    _check_size(n)
-    if sides not in SIDES:
-        raise ValidationError(f"sides must be one of {SIDES}, got {sides!r}")
-    if budget <= 1.0:
-        raise ValidationError(f"budget must exceed 1, got {budget}")
     effective = budget / 2.0 if sides == "one" else budget
     log_term = math.log(effective / alpha_u)
     if c_alpha is None:
         return math.sqrt(log_term / (2.0 * n))
-    if c_alpha < 0.0:
-        raise ValidationError(f"c_alpha must be nonnegative, got {c_alpha}")
     return (1.0 + 4.0 * c_alpha) * math.sqrt(2.0 * log_term / n)
 
 
@@ -173,12 +153,6 @@ def bernstein_tmu_iid(alpha_u: float, n: int, m: float, c_abs: float = 1.0) -> f
     The stated min of the quadratic-regime term m * sqrt(log(12 / alpha_u)
     / (c n)) and the linear-regime term (m / (c n)) * log(12 / alpha_u).
     """
-    _check_level(alpha_u)
-    _check_size(n)
-    if m < 0.0:
-        raise ValidationError(f"mean bound m must be nonnegative, got {m}")
-    if c_abs <= 0.0:
-        raise ValidationError(f"c_abs must be positive, got {c_abs}")
     log_term = math.log(12.0 / alpha_u)
     return min(
         m * math.sqrt(log_term / (c_abs * n)),
@@ -210,8 +184,6 @@ def bernstein_term3_root(alpha_u: float, n: int, constants: BernsteinConstants) 
     for every larger t) and is the one returned.  Bisection on the
     increasing branch to 1e-12 relative.
     """
-    _check_level(alpha_u)
-    _check_size(n)
     target = math.log(18.0 / alpha_u)
     log_target = math.log(target)
     u_safe = math.exp(1.0 / (1.0 - constants.gamma))
@@ -271,10 +243,6 @@ def bernstein_mixing_terms(
     t3 = the numerically inverted third-term root.
     A term that overflows a float raises ConfigurationError.
     """
-    _check_level(alpha_u)
-    _check_size(n)
-    if long_run_var < 0.0:
-        raise ValidationError("long-run variance must be nonnegative")
     try:
         t1 = (constants.c1 * math.log(18.0 * n / alpha_u)) ** (1.0 / constants.gamma) / n
         t2 = math.sqrt(constants.c2 * (1.0 + n * long_run_var) * math.log(18.0 / alpha_u)) / n

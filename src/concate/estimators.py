@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArmError, ValidationError
+from .errors import ValidationError
 from .panel import PanelDataset
 
 #: Variances of the naive method's Wald interval (see ``concate.bands``).
@@ -111,24 +111,9 @@ def group_stats(panel: PanelDataset, treated: np.ndarray) -> GroupStats:
     return split_arms(panel.outcome, treated)
 
 
-def empirical_quantile(values_sorted: np.ndarray, p: float) -> float:
-    """Order-statistic quantile: the ceil(p * n)-th smallest value (1-indexed).
-
-    ``values_sorted`` must already be in ascending order.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"quantile level must lie in (0, 1), got {p}")
-    x = np.asarray(values_sorted, dtype=float)
-    if x.size == 0:
-        raise DegenerateArmError("cannot take a quantile of an empty arm")
-    if x.size > 1 and np.any(np.diff(x) < 0.0):
-        raise ValidationError("values must be sorted ascending")
-    return _order_statistic(x, p)
-
-
 def _order_statistic(x: np.ndarray, p: float) -> float:
-    """:func:`empirical_quantile` of a non-empty array the caller sorted
-    itself, as ``GroupStats`` sorts its arms, with no checks."""
+    """Empirical quantile, 0 < p < 1, of a non-empty ascending array such as
+    ``GroupStats.treated_sorted``: its ceil(p * n)-th smallest value (1-indexed)."""
     k = p * x.size
     nearest = round(k)
     # guard against float fuzz when p * n is an exact integer mathematically

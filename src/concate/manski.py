@@ -110,13 +110,11 @@ def extrema_support(stats: GroupStats) -> SupportBounds:
 
 
 def trimmed_support(stats: GroupStats, p: float) -> SupportBounds:
-    """Quantile-trimmed support: [Q_k(p), Q_k(1 - p)] per arm.
+    """Quantile-trimmed support: [Q_k(p), Q_k(1 - p)] per arm, 0 < p < 0.5.
 
     Quantiles follow the ceiling order-statistic rule of
-    :func:`concate.estimators.empirical_quantile`.
+    :func:`concate.estimators._order_statistic`.
     """
-    if not 0.0 < p < 0.5:
-        raise ValidationError(f"trim proportion must lie in (0, 0.5), got {p}")
     if stats.degenerate:
         raise DegenerateArmError("trimmed support needs both arms non-empty")
     return SupportBounds(
@@ -140,16 +138,8 @@ def known_support(lower: float, upper: float) -> SupportBounds:
 
 
 def manski_region(stats: GroupStats, support: SupportBounds) -> tuple[float, float]:
-    """Plug-in identified interval (lower, upper) for the ATE.
-
-    Raises DegenerateArmError when either arm is empty: with a treated
-    share of 0 or 1 the interval is not defined by the data and no bounds
-    are fabricated.
-    """
-    if stats.degenerate:
-        raise DegenerateArmError(
-            "identification region undefined: treated share is 0 or 1"
-        )
+    """Plug-in identified interval (lower, upper) for the ATE.  Both arms
+    must be non-empty, as the support builders check."""
     p1, p0 = stats.share_treated, stats.share_control
     base = stats.mean_treated * p1 - stats.mean_control * p0
     lower = base + support.lower_treated * p0 - support.upper_control * p1
@@ -220,8 +210,6 @@ def delta_method_band(
     Each endpoint receives half of alpha_u (Bonferroni), so the multiplier
     is the normal quantile at 1 - alpha_u / 2.  ``method`` names the result.
     """
-    if not 0.0 < alpha_u < 1.0:
-        raise ValidationError(f"alpha_u must lie in (0, 1), got {alpha_u}")
     lower, upper = manski_region(stats, support)
     cov = sampling_covariance(stats)
     grad_lower, grad_upper = bound_gradients(stats, support)

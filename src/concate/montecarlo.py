@@ -409,9 +409,6 @@ def coverage_table(
     from the cell coordinates.
     """
     designs = list(designs) if designs else list(MC_DESIGNS)
-    for design in designs:
-        if design not in MC_DESIGNS:
-            raise ValidationError(f"unknown design {design!r}")
     periods_list = list(periods_list) if periods_list else [1, 2, 5]
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")

@@ -409,11 +409,8 @@ def _load_rows(path: Path, schema: PanelSchema) -> PanelDataset:
 
 def assign_treatment(panel: PanelDataset, threshold: float) -> np.ndarray:
     """The treated mask of a split at a diversity threshold: treated iff
-    signal >= threshold."""
-    if not SIGNAL_MIN < threshold < SIGNAL_MAX:
-        raise ValidationError(
-            f"threshold must lie strictly inside ({SIGNAL_MIN:g}, {SIGNAL_MAX:g}), got {threshold}"
-        )
+    signal >= threshold.  :class:`concate.sequential.ThresholdGrid` checks
+    the threshold."""
     return panel.signal >= threshold
 
 

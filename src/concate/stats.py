@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigurationError
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -17,22 +17,22 @@ def norm_ppf(p: float) -> float:
 
     Backed by a rational approximation (Wichura's AS241 via the stdlib)
     accurate well beyond 1e-9 absolute; see tests for the oracle check.
+    A level outside (0, 1), such as 1 - alpha / 2 once alpha is below about
+    1e-16 and it rounds to 1, raises ConfigurationError.
     """
     if not 0.0 < p < 1.0:
-        raise ValidationError(f"normal quantile requires p in (0, 1), got {p}")
+        raise ConfigurationError(f"normal quantile needs a level p in (0, 1), got {p!r}")
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def long_run_variance(values: np.ndarray) -> float:
     """Truncated-autocovariance (Newey-West) long-run variance estimate.
 
-    Bartlett weights with lag window ceil(n ** (1/3)); the input order is
-    taken as the serial order of the observations.
+    Bartlett weights with lag window ceil(n ** (1/3)); the input order, of at
+    least 2 observations, is taken as the serial order of the observations.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < 2:
-        raise ValidationError("long-run variance requires at least 2 observations")
     d = x - x.mean()
     lag = math.ceil(n ** (1.0 / 3.0))
     lag = min(lag, n - 1)

@@ -100,6 +100,25 @@ class TestDescribe:
         assert payload["n"] == 4300
         assert payload["n_dropped"] == 0
         assert set(payload["variables"]) == {"outcome", "signal"}
+        assert "window" not in payload
+
+    @pytest.mark.parametrize(("flags", "window"), [((), 2), (("--window", "3"), 3)])
+    def test_json_report_records_the_rolling_window(self, tmp_path, flags, window):
+        """The demo panel has four periods, so the default window is 2."""
+        out = tmp_path / "report.json"
+        rc = main(["describe", demo_csv(tmp_path), "--rolling", str(tmp_path / "rolling.csv"),
+                   *flags, "--json", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["window"] == window
+
+    def test_default_window_of_a_three_period_panel_is_two(self, tmp_path, capsys):
+        """Half of three periods is one, which is not a window."""
+        path = tmp_path / "short.csv"
+        write_panel_csv(make_null_panel(20, 3, seed=5), path)
+        out = tmp_path / "rolling.csv"
+        assert main(["describe", str(path), "--rolling", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["time", "2", "3"]
+        capsys.readouterr()
 
     def test_rolling_csv(self, tmp_path):
         path = demo_csv(tmp_path)
@@ -239,6 +258,15 @@ class TestBounds:
         assert main(["bounds", path, "--tau", "40", "--alpha", "0"]) == 2
         assert main(["bounds", path, "--tau", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tau", ["nan", "150", "0"])
+    def test_bad_tau_is_rejected_before_the_panel_is_read(self, tmp_path, capsys, tau):
+        """The panel does not exist: reading it would exit 3."""
+        rc = main(["bounds", str(tmp_path / "absent.csv"), "--tau", tau])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: threshold {float(tau)} outside the open interval (0, 100)\n"
+        )
 
     def test_infinite_outcome_is_a_data_error(self, tmp_path, capsys):
         text = SMALL.replace("u3,1,1.0,30", "u3,1,inf,30")
@@ -918,6 +946,19 @@ class TestUnusableBands:
         text = report.read_text()
         assert "NaN" not in text and "Infinity" not in text
         first, second = json.loads(text)["rows"]
+        assert first["skipped"] and first["reason"] == reason
+        assert not second["skipped"]
+        assert f"tau    30: skipped ({reason})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["hybrid", "manski-max"])
+    def test_scan_skips_a_look_whose_normal_quantile_is_infinite(self, tmp_path, capsys, method):
+        """At a per-look level of 1e-300, 1 - alpha_u / 2 rounds to 1."""
+        report = tmp_path / "scan.json"
+        rc = main(["scan", demo_csv(tmp_path), "--method", method, "--grid", "30:50:20",
+                   "--alpha-schedule", "1e-300,0.05", "--json", str(report)])
+        assert rc == 0
+        first, second = json.loads(report.read_text())["rows"]
+        reason = "normal quantile needs a level p in (0, 1), got 1.0"
         assert first["skipped"] and first["reason"] == reason
         assert not second["skipped"]
         assert f"tau    30: skipped ({reason})" in capsys.readouterr().out

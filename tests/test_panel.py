@@ -378,12 +378,6 @@ class TestAssignTreatment:
             assert treated.dtype == bool and treated.shape == (panel.n,)
             assert np.count_nonzero(treated) == int((panel.signal >= tau).sum())
 
-    def test_threshold_must_be_interior(self):
-        panel = small_panel([10.0, 20.0])
-        for tau in (0.0, 100.0, -5.0, 120.0):
-            with pytest.raises(ValidationError):
-                assign_treatment(panel, tau)
-
 
 class TestPanelValidation:
     def test_unequal_columns(self):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concate.bands import METHODS, BandOptions, compute_band
-from concate.concentration import _mean_bounds
+from concate.concentration import BernsteinConstants, Truncation, _mean_bounds
 from concate.errors import ConcateError
 from concate.estimators import GroupStats, split_arms
 from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
@@ -177,6 +177,62 @@ def test_iid_band_with_the_closed_form_bound_equals_the_scanned_one(sample):
         mean_bound_control=float(np.max(np.abs(stats.control_serial - stats.mean_control))),
     )
     assert _outcome(stats, "iid", 0.05) == _outcome(stats, "iid", 0.05, scanned)
+
+
+#: Per-look levels: the ends of (0, 1) and the levels near 1e-16 where
+#: 1 - alpha_u / 2 and 1 - alpha_u / 4 round to 1.
+LEVELS = st.one_of(
+    st.sampled_from([1e-300, 1e-100, 1e-16, 2.2e-16, 4.4e-16, 1e-9, 0.05, 0.5, 0.999999]),
+    st.floats(-300.0, -1e-9).map(lambda e: 10.0**e),
+)
+#: A knob that must be positive, from the smallest float to 1e308.
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e150, 1e308]), st.floats(1e-300, 1e308))
+NONNEGATIVE = st.one_of(st.just(0.0), POSITIVE)
+GAPS = st.sampled_from([0.0, 1e-3, 1.0, 1e8, 1e300])
+
+
+@st.composite
+def knobs(draw, kind, y):
+    """``BandOptions`` with every knob drawn to the ends of its valid range,
+    and a truncation of ``kind`` around the outcomes ``y``; a negative
+    ``sign`` puts a limit inside the observed range."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    lower = None if kind == "none" else float(y.min()) - sign * draw(GAPS)
+    upper = None if kind != "both" else max(lower, float(y.max()) + sign * draw(GAPS))
+    return BandOptions(
+        c_alpha=draw(NONNEGATIVE),
+        c_abs=draw(POSITIVE),
+        mean_bound_treated=draw(st.none() | NONNEGATIVE),
+        mean_bound_control=draw(st.none() | NONNEGATIVE),
+        bernstein=BernsteinConstants(
+            *(draw(POSITIVE) for _ in range(4)),
+            gamma=draw(st.sampled_from([1e-6, 0.5, 0.999999]) | st.floats(1e-6, 0.999999)),
+            long_run_var=draw(st.none() | NONNEGATIVE),
+        ),
+        truncation=Truncation(lower=lower, upper=upper),
+        variance_mode=draw(st.sampled_from(["welch", "contrast"])),
+    )
+
+
+@pytest.mark.parametrize("kind", ["none", "lower", "both"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_every_band_is_finite_or_a_concate_error(kind, data):
+    """compute_band is the boundary: behind it the kernels check nothing, so
+    any input that reaches them must give a finite band or a ConcateError."""
+    y, z = data.draw(samples())
+    if data.draw(st.booleans()):
+        y = np.full_like(y, y[0])
+    stats = split_arms(y, z)
+    alpha_u = data.draw(LEVELS)
+    options = data.draw(knobs(kind, y))
+    for method in METHODS:
+        try:
+            with np.errstate(all="ignore"):  # an overflow is an outcome under test
+                band = compute_band(stats, method, alpha_u, options)
+        except ConcateError:
+            continue
+        assert math.isfinite(band.band_lower) and math.isfinite(band.band_upper), method
 
 
 def test_mean_bound_is_exact_when_the_mean_rounds_outside_the_arm():

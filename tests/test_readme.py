@@ -32,3 +32,10 @@ def test_public_names_paragraph_lists_exactly_the_exports():
     paragraph = section.split("\n\n")[1]
     listed = paragraph[:paragraph.index("Everything else")]
     assert set(re.findall(r"`(\w+)`", listed)) == set(concate.__all__)
+
+
+def test_box_bullets_name_exactly_the_modules():
+    text = README.read_text()
+    section = text[text.index("## What is in the box"):text.index("## Install")]
+    modules = {p.stem for p in Path(concate.__file__).parent.glob("*.py")} - {"__init__"}
+    assert set(re.findall(r"^- `concate\.(\w+)`", section, re.MULTILINE)) == modules

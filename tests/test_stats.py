@@ -80,7 +80,3 @@ class TestLongRunVariance:
 
     def test_constant_series_is_zero(self):
         assert long_run_variance(np.full(25, 3.5)) == 0.0
-
-    def test_needs_two_observations(self):
-        with pytest.raises(ValidationError):
-            long_run_variance(np.array([1.0]))
