@@ -44,7 +44,8 @@ def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Band
     sample variance (n - 1 denominator) of the per-observation weighted
     contributions y_i * w_i, where w_i is +1/n1 for treated and -1/n0 for
     control rows, so that the contributions sum to the estimate itself.
-    The region is the point estimate.
+    The region is the point estimate.  Both variances assume independent
+    rows: on a serially dependent panel, "excludes zero" is no evidence.
     """
     if stats.degenerate:
         raise DegenerateArmError("naive estimate needs both arms non-empty")
@@ -104,8 +105,8 @@ METHODS = tuple(BUILDERS)
 
 
 #: Each method that reads a truncation -> the fewest observations it needs
-#: per arm, the name its DegenerateArmError messages give it, and whether
-#: its known-support reduction reports the delta-method SEs.
+#: per arm (2 for all under a known support), the name its DegenerateArmError
+#: messages give it, and whether its known-support reduction reports the SEs.
 _PADDED = {
     "iid": (1, "band construction", False),
     "mixing": (2, "band construction", False),
@@ -150,6 +151,8 @@ def _band(stats: GroupStats, method: str, alpha_u: float, options: BandOptions) 
     min_per_arm, name, reports_se = _PADDED[method]
     if stats.degenerate:
         raise DegenerateArmError(f"{name} needs both arms non-empty")
+    if truncation.kind == "both":
+        min_per_arm = 2
     if min(stats.n_treated, stats.n_control) < min_per_arm:
         raise DegenerateArmError(f"{name} needs at least {min_per_arm} observations per arm")
     check_truncation_consistency(stats, truncation)

@@ -185,6 +185,12 @@ def cmd_describe(args: argparse.Namespace) -> int:
     if args.window is not None and args.window < 2:
         raise ValidationError(f"window must be at least 2, got {args.window}")
     panel = _load_panel(args)
+    if args.rolling:
+        periods = panel.times().size
+        if (window := args.window or max(2, periods // 2)) > periods:
+            source = "" if args.window else " (the default, half the periods and at least 2)"
+            raise ValidationError(f"window {window}{source} exceeds the {periods} distinct "
+                                  "time indices in the panel")
     variables = {
         "outcome": summary_stats(panel.outcome),
         "signal": summary_stats(panel.signal),
@@ -216,7 +222,6 @@ def cmd_describe(args: argparse.Namespace) -> int:
     print(f"# rows retained: {panel.n}, dropped (missing outcome/signal): {panel.n_dropped}")
 
     if args.rolling:
-        window = args.window or max(2, panel.times().size // 2)
         pearson = rolling_correlation(panel, window, kind="pearson")
         kendall = rolling_correlation(panel, window, kind="kendall")
         with Path(args.rolling).open("w", newline="") as fh:

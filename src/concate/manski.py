@@ -128,75 +128,48 @@ def trimmed_support(stats: GroupStats, p: float) -> SupportBounds:
 
 def known_support(lower: float, upper: float) -> SupportBounds:
     """A support known a priori, identical for both arms."""
-    return SupportBounds(
-        lower_treated=lower,
-        upper_treated=upper,
-        lower_control=lower,
-        upper_control=upper,
-        source="known",
-    )
+    return SupportBounds(lower, upper, lower, upper, source="known")
+
+
+def _region(mean1, mean0, p1, p0, lower1, upper1, lower0, upper0):
+    """The plug-in interval (lower, upper), of floats or of arrays."""
+    base = mean1 * p1 - mean0 * p0
+    return base + lower1 * p0 - upper0 * p1, base + upper1 * p0 - lower0 * p1
 
 
 def manski_region(stats: GroupStats, support: SupportBounds) -> tuple[float, float]:
     """Plug-in identified interval (lower, upper) for the ATE.  Both arms
     must be non-empty, as the support builders check."""
-    p1, p0 = stats.share_treated, stats.share_control
-    base = stats.mean_treated * p1 - stats.mean_control * p0
-    lower = base + support.lower_treated * p0 - support.upper_control * p1
-    upper = base + support.upper_treated * p0 - support.lower_control * p1
-    return lower, upper
+    return _region(stats.mean_treated, stats.mean_control, stats.share_treated,
+                   stats.share_control, support.lower_treated, support.upper_treated,
+                   support.lower_control, support.upper_control)
 
 
-def bound_gradients(
-    stats: GroupStats, support: SupportBounds
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the lower/upper bound in (mean1, mean0, p1, p0).
+def delta_method_interval(mean1, mean0, n1, n0, var1, var0, lower1, upper1, lower0, upper0):
+    """Plug-in interval (lower, upper) and the delta-method SE of each end,
+    from floats or (B,) arrays.  An end's SE is sqrt(g' S g): S is the
+    plug-in covariance of (mean1, mean0, p1, p0), with var_k / n_k for each
+    mean and p1 p0 / N for the shares (negative between them), and g the
+    end's gradient with the supports held fixed; padding, not the delta
+    method, covers their error.  In closed form
 
-    Support endpoints are held constant (their estimation error is handled
-    elsewhere, by padding, not by the delta method).
+        se^2 = p1^2 var1 / n1 + p0^2 var0 / n0 + (p1 p0 / N) g^2,
+
+    g = mean1 + mean0 - lower1 - upper0 at the lower end and mean1 + mean0
+    - lower0 - upper1 at the upper end.  No term is negative.
     """
-    p1, p0 = stats.share_treated, stats.share_control
-    grad_lower = np.array(
-        [
-            p1,
-            -p0,
-            stats.mean_treated - support.upper_control,
-            support.lower_treated - stats.mean_control,
-        ]
+    n = n1 + n0
+    p1, p0 = n1 / n, n0 / n
+    mean_terms = p1 * p1 * var1 / n1 + p0 * p0 * var0 / n0
+    share_var = p1 * p0 / n
+    g_lower = mean1 + mean0 - lower1 - upper0
+    g_upper = mean1 + mean0 - lower0 - upper1
+    # g * g: a float's ** raises OverflowError where a product gives inf
+    return (
+        *_region(mean1, mean0, p1, p0, lower1, upper1, lower0, upper0),
+        np.sqrt(mean_terms + share_var * (g_lower * g_lower)),
+        np.sqrt(mean_terms + share_var * (g_upper * g_upper)),
     )
-    grad_upper = np.array(
-        [
-            p1,
-            -p0,
-            stats.mean_treated - support.lower_control,
-            support.upper_treated - stats.mean_control,
-        ]
-    )
-    return grad_lower, grad_upper
-
-
-def sampling_covariance(stats: GroupStats) -> np.ndarray:
-    """Plug-in covariance of (mean1, mean0, p1, p0), already scaled by 1/N.
-
-    Arm means are treated as independent with variance var_k / n_k; the
-    shares are multinomial with Var(p1) = Var(p0) = p1 * p0 / N and
-    Cov(p1, p0) = -p1 * p0 / N.
-    """
-    if stats.n_treated < 2 or stats.n_control < 2:
-        raise DegenerateArmError("sampling covariance needs 2+ observations per arm")
-    v_share = stats.share_treated * stats.share_control / stats.n
-    cov = np.zeros((4, 4))
-    cov[0, 0] = stats.var_treated / stats.n_treated
-    cov[1, 1] = stats.var_control / stats.n_control
-    cov[2, 2] = cov[3, 3] = v_share
-    cov[2, 3] = cov[3, 2] = -v_share
-    return cov
-
-
-def endpoint_se(cov: np.ndarray, gradient: np.ndarray) -> float:
-    """Delta-method SE sqrt(g' cov g) of one interval endpoint.  A constant
-    outcome's zero quadratic form can round below zero; that reads as 0."""
-    return math.sqrt(max(float(gradient @ cov @ gradient), 0.0))
 
 
 def delta_method_band(
@@ -210,10 +183,12 @@ def delta_method_band(
     Each endpoint receives half of alpha_u (Bonferroni), so the multiplier
     is the normal quantile at 1 - alpha_u / 2.  ``method`` names the result.
     """
-    lower, upper = manski_region(stats, support)
-    cov = sampling_covariance(stats)
-    grad_lower, grad_upper = bound_gradients(stats, support)
-    se_lower, se_upper = endpoint_se(cov, grad_lower), endpoint_se(cov, grad_upper)
+    if stats.n_treated < 2 or stats.n_control < 2:
+        raise DegenerateArmError("sampling covariance needs 2+ observations per arm")
+    lower, upper, se_lower, se_upper = map(float, delta_method_interval(
+        stats.mean_treated, stats.mean_control, stats.n_treated, stats.n_control,
+        stats.var_treated, stats.var_control, support.lower_treated, support.upper_treated,
+        support.lower_control, support.upper_control))
     z = norm_ppf(1.0 - alpha_u / 2.0)
     return BandResult(
         method=method,

@@ -46,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
+from .manski import delta_method_interval
 from .stats import norm_ppf
 
 MC_DESIGNS = ("A", "B", "C", "D", "E", "F", "G")
@@ -237,13 +238,10 @@ def _replication_intervals(
     both arms non-empty and, outside design G, two observations per arm;
     callers check that.  Both arms share the support [a, b] of the
     baseline, not the observed, outcomes: (-5, 5) in design G, [0, max] in
-    design F, the extrema otherwise.  The endpoint SE is the closed form
-    of g' S g for the gradients and covariance of :mod:`concate.manski`:
-
-        se^2 = p1^2 v1 / n1 + p0^2 v0 / n0 + (p1 p0 / N) (g_p1 - g_p0)^2
-
-    With one support, g_p1 - g_p0 = mean1 + mean0 - a - b at both
-    endpoints and one SE serves both.  ``banded_*`` widens the plug-in
+    design F, the extrema otherwise.  The plug-in interval and its endpoint
+    SEs are :func:`concate.manski.delta_method_interval`, as in every
+    delta-method look band; with one support both ends have g = mean1 +
+    mean0 - a - b, and so one SE.  ``banded_*`` widens the plug-in
     interval by it at the normal quantile of 1 - alpha / 2; ``hybrid_*``
     by eps = sqrt(log(C) / (2 N)), C = 2 / alpha (1 / alpha in design F),
     plus the normal quantile of 1 - alpha / 4 times sqrt(se^2 + se^2).
@@ -253,20 +251,15 @@ def _replication_intervals(
     n = y.shape[1]
     n1 = np.count_nonzero(d, axis=1)
     n0 = n - n1
-    p1, p0 = n1 / n, n0 / n
     in1 = d.astype(float)
     in0 = 1.0 - in1
     mean1 = np.einsum("ij,ij->i", y, in1) / n1
     mean0 = np.einsum("ij,ij->i", y, in0) / n0
     if design == "G":
-        a = np.full(n1.shape, -5.0)
-        b = np.full(n1.shape, 5.0)
+        a, b = (np.full(n1.shape, limit) for limit in UNIFORM_LIMITS)
     else:
         b = y0.max(axis=1)
         a = np.zeros_like(b) if design == "F" else y0.min(axis=1)
-    base = mean1 * p1 - mean0 * p0
-    lower = base + a * p0 - b * p1
-    upper = base + b * p0 - a * p1
     # two-pass n - 1 variances; NaN, without a warning, for a one-observation arm
     dev = y - np.where(d, mean1[:, None], mean0[:, None])
     sq = dev * dev
@@ -274,8 +267,7 @@ def _replication_intervals(
                      out=np.full(n1.shape, np.nan), where=n1 > 1)
     var0 = np.divide(np.einsum("ij,ij->i", sq, in0), n0 - 1,
                      out=np.full(n0.shape, np.nan), where=n0 > 1)
-    mean_terms = p1 * p1 * var1 / n1 + p0 * p0 * var0 / n0
-    se = np.sqrt(mean_terms + p1 * p0 / n * (mean1 + mean0 - a - b) ** 2)
+    lower, upper, se, _ = delta_method_interval(mean1, mean0, n1, n0, var1, var0, a, b, a, b)
     z_banded = norm_ppf(1.0 - alpha / 2.0)
     banded_lower = lower - z_banded * se
     banded_upper = upper + z_banded * se

@@ -16,12 +16,7 @@ from concate.concentration import (
 from concate.datasets import make_null_panel, make_tipping_demo_panel, write_panel_csv
 from concate.errors import EmptyScanError
 from concate.estimators import split_arms
-from concate.manski import (
-    bound_gradients,
-    delta_method_band,
-    extrema_support,
-    sampling_covariance,
-)
+from concate.manski import delta_method_band, extrema_support
 from concate.montecarlo import (
     DgpSpec,
     coverage_table,
@@ -29,6 +24,7 @@ from concate.montecarlo import (
     replication_seed,
 )
 from concate.sequential import ThresholdGrid, scan
+from delta_oracle import bound_gradients, sampling_covariance
 
 # Reference coverage grid for the default harness (50 units, effect 4.0,
 # 2,000 replications, alpha 0.05): (hybrid, plug-in) percent per design

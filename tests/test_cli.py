@@ -146,6 +146,26 @@ class TestDescribe:
             "371ea0e464b8a6580660ab672c898733d47869a6795523c0fcfd6b46f7159c2f"
         )
 
+    @pytest.mark.parametrize(("flags", "message"), [
+        ((), "window 2 (the default, half the periods and at least 2) exceeds the 1 "),
+        (("--window", "3"), "window 3 exceeds the 1 "),
+    ])
+    def test_window_longer_than_the_panel_is_rejected_before_any_output(
+        self, tmp_path, capsys, flags, message
+    ):
+        path = tmp_path / "one_period.csv"
+        write_panel_csv(make_null_panel(20, 1, seed=1), path)
+        outputs = [tmp_path / name for name in ("summary.csv", "rolling.csv", "report.json")]
+        for with_out in (False, True):
+            out = ["--out", str(outputs[0])] if with_out else []
+            rc = main(["describe", str(path), *out, "--rolling", str(outputs[1]),
+                       "--json", str(outputs[2]), *flags])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert message + "distinct time indices in the panel" in captured.err
+            assert not any(output.exists() for output in outputs)
+
     def test_window_below_two_is_rejected_without_rolling(self, tmp_path, capsys):
         rc = main(["describe", demo_csv(tmp_path), "--window", "1"])
         assert rc == 2
@@ -420,7 +440,12 @@ def band_table():
     }
 
 class TestTruncationPins:
-    """Recorded before the band result types were merged into one."""
+    """Recorded before the band result types were merged into one.  The
+    ``hybrid --truncation-upper 40`` digest and the 840-case table were
+    re-recorded when the delta-method SE became one closed form (last-digit
+    moves of SEs and band ends, at most 8 ulps of a band end) and the
+    known-support reduction took two per arm for ``iid`` too (14 cases
+    changed their error; the counts below)."""
 
     @pytest.mark.parametrize(
         ("method", "upper", "json_sha256"),
@@ -433,7 +458,7 @@ class TestTruncationPins:
              "faa590ff7101494b296b4c79c3cb265c3ec154d79fe7ba5a8dbda27dfaabca04"),
             ("hybrid", [], "dc4af890cfabc0804b33012a9a6b88bb80af3eb0e755a966b544ee74be148521"),
             ("hybrid", ["--truncation-upper", "40"],
-             "14782efba70fbaa9564d1a4da0918c4c891e623d3dbe30a56f11b2b2e5bef575"),
+             "1155934d7e208b32db47c50934209f073aaef3d636a20f842c463763fa57e360"),
         ],
     )
     def test_bounds_json_is_pinned(self, tmp_path, capsys, method, upper, json_sha256):
@@ -457,16 +482,16 @@ class TestTruncationPins:
             "DataError: known lower limit 5.0 exceeds the observed minimum -0.999980413101407": 10,
             "DataError: known lower limit 5.0 exceeds the observed minimum 0.2701511529340699": 7,
             "DataError: known lower limit 5.0 exceeds the observed minimum 0.5": 3,
-            "DataError: known upper limit 2.5 is below the observed maximum 2.682941969615793": 10,
-            "DataError: known upper limit 2.5 is below the observed maximum 2.8185948536513634": 10,
-            "DataError: known upper limit 2.5 is below the observed maximum 2.9812147113897405": 10,
-            "DegenerateArmError: band construction needs at least 2 observations per arm": 35,
+            "DataError: known upper limit 2.5 is below the observed maximum 2.682941969615793": 9,
+            "DataError: known upper limit 2.5 is below the observed maximum 2.8185948536513634": 9,
+            "DataError: known upper limit 2.5 is below the observed maximum 2.9812147113897405": 9,
+            "DegenerateArmError: band construction needs at least 2 observations per arm": 49,
             "DegenerateArmError: band construction needs both arms non-empty": 80,
             "DegenerateArmError: extrema support needs both arms non-empty": 8,
             "DegenerateArmError: hybrid band needs at least 2 observations per arm": 35,
             "DegenerateArmError: hybrid band needs both arms non-empty": 40,
             "DegenerateArmError: naive estimate needs both arms non-empty": 8,
-            "DegenerateArmError: sampling covariance needs 2+ observations per arm": 32,
+            "DegenerateArmError: sampling covariance needs 2+ observations per arm": 21,
             "DegenerateArmError: trimmed support needs both arms non-empty": 16,
             "DegenerateArmError: variance needs at least 2 observations per arm": 7,
             "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'manski-max'": 96,
@@ -475,7 +500,7 @@ class TestTruncationPins:
             "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'naive'": 96,
         }
         digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
-        assert digest == "61a1eca0feda964831a8a5c5a1ef4ab14cc5cdd99863586d3c0448921d2d29c6"
+        assert digest == "4337d9eba6816992451df2cf6d59842404f3bb1c41dc805588b4618157e89383"
 
     def test_too_small_an_arm_is_reported_before_a_truncation_conflict(self):
         conflict = TRUNCATIONS["lower 5"]
@@ -492,6 +517,20 @@ class TestTruncationPins:
             "DegenerateArmError: hybrid band needs both arms non-empty"
         )
         assert band_outcome(1, 30, "iid", conflict).startswith("DataError: known lower limit")
+
+    def test_a_known_support_needs_two_per_arm_for_every_method(self):
+        """The known-support reduction is the delta-method band, whose SEs
+        need two observations per arm; iid's own minimum is one."""
+        for label in ("both -10 10", "both -10 2.5"):
+            for method in ("iid", "mixing"):
+                assert band_outcome(1, 3, method, TRUNCATIONS[label]) == (
+                    "DegenerateArmError: band construction needs at least 2 observations per arm"
+                )
+            assert band_outcome(3, 1, "hybrid", TRUNCATIONS[label]) == (
+                "DegenerateArmError: hybrid band needs at least 2 observations per arm"
+            )
+        for label in ("none", "lower -10"):
+            assert json.loads(band_outcome(1, 3, "iid", TRUNCATIONS[label]))["n_treated"] == 1
 
     def test_known_support_reports_zero_paddings_and_only_hybrid_an_se(self):
         for method in ("iid", "mixing", "hybrid"):
@@ -629,19 +668,19 @@ class TestScan:
             (
                 "manski-max",
                 "b288bed758d9c718803235f1d5dd077dd2688a579abb71c355ccb6d94f881e36",
-                "74387017c28f3f2e595fcf386e0c0a05f77a910e72688b7d1e150381882a3588",
+                "a7d04f308ce2f55cbaa1f730aa338725b213643e7fa8bb2fe77128944742e9ae",
                 "5911d4868aec8a7f90e3a59c429bb5b9727ae7138661c467581839d035d6e389",
             ),
             (
                 "manski-q05",
                 "fa2905609601db0610ad8cdfde3b2ed372d746277b33879f65e5ad52d2da0756",
-                "136d1b3514e44d138171fc70567d4e35c70934394a70d599e4797344306bc901",
+                "5881a411be7aa7d127139217a5da0b7881a8827fab07e3764686d3e57f11bdf6",
                 "17dfbe3d12e4c1ccf834384c0a08a4fc847675552c816b831c5adbe8ba5563a9",
             ),
             (
                 "manski-q10",
                 "7507efd0bb7419f340460a0da26d178d09b76d641c80c097c826e85558f47bf6",
-                "d49cabb4d49ae95c183cab346dce95c22b1264913cb33c579f7e994b3a2e38a8",
+                "54a8ed8ca36a776346bd4dd4446767d0e48579a2984a2044b30f502afea3c01c",
                 "bad9f2f2a289a2e6dc1153cbd707d2c9d226675c615059f8f095a3fffc87bf37",
             ),
             (
@@ -659,7 +698,7 @@ class TestScan:
             (
                 "hybrid",
                 "0693cd2b84a6ade68aaf4300d42f137ba1e8fdcb825a23bba6dd6721f2b339bd",
-                "afe18fdf6aa88d7a027aa041cce850e87caaf9fc6488739c8ea980abf9ba73f0",
+                "cab223b13e98398e47d442e44092d9379905952834f4ce8be9c7efc6542a7f7b",
                 "a1cf495245d15f0084c4ee9e7659955430402aaa0304273e5efef00040e517fe",
             ),
         ],
@@ -667,7 +706,10 @@ class TestScan:
     def test_outputs_are_pinned(self, tmp_path, capsys, method, csv_sha256, json_sha256,
                                 svg_sha256):
         """Digests recorded before the arm split sorted lazily and took the mean
-        bound from the extrema; every method must reproduce all three files byte for byte."""
+        bound from the extrema; every method must reproduce all three files byte for byte.
+        The JSON digests of ``manski-*`` and ``hybrid`` were re-recorded when the
+        delta-method SE became one closed form: band ends moved by at most 16 ulps,
+        below the CSV's and the SVG's precision."""
         out, report, chart = tmp_path / "scan.csv", tmp_path / "scan.json", tmp_path / "scan.svg"
         rc = main([
             "scan", demo_csv(tmp_path), "--method", method,

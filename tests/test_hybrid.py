@@ -12,13 +12,9 @@ from concate.concentration import Truncation
 from concate.errors import ConcateError, DataError, DegenerateArmError, ValidationError
 from concate.estimators import split_arms
 from concate.montecarlo import MC_DESIGNS
-from concate.manski import (
-    bound_gradients,
-    extrema_support,
-    manski_region,
-    sampling_covariance,
-)
+from concate.manski import extrema_support, manski_region
 from concate.stats import norm_ppf
+from delta_oracle import bound_gradients, sampling_covariance
 
 
 def stats_from(treated_values, control_values):
@@ -175,11 +171,13 @@ def pinned_outcomes():
 
 
 def test_hybrid_band_is_pinned_across_truncations_c_alpha_and_levels():
+    # re-recorded when the delta-method SE became one closed form: SEs moved
+    # by at most 55 ulps and band ends by at most 2; no error changed
     digest = hashlib.sha256()
     for outcome in pinned_outcomes():
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == (
-        "08cf0b8a3071c2e10eeed52045fb8d489c804c7940a43d74fa7c2d22dfeca42f"
+        "2adcee48a98dd585c39c699c9caf8070233613a368be723987b34ad6b695d470"
     )
 
 

@@ -10,14 +10,13 @@ from concate.errors import DegenerateArmError, ValidationError
 from concate.estimators import split_arms
 from concate.manski import (
     SupportBounds,
-    bound_gradients,
     delta_method_band,
     extrema_support,
     known_support,
     manski_region,
-    sampling_covariance,
     trimmed_support,
 )
+from delta_oracle import bound_gradients, sampling_covariance
 
 
 def stats_from(treated_values, control_values):

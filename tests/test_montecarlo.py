@@ -11,7 +11,7 @@ from scipy import stats as sps
 from concate import montecarlo
 from concate.errors import ConfigurationError, ValidationError
 from concate.estimators import split_arms
-from concate.manski import bound_gradients, known_support, manski_region, sampling_covariance
+from concate.manski import known_support, manski_region
 from concate.montecarlo import (
     AR_RHO,
     BLOCK_ELEMENTS,
@@ -39,6 +39,7 @@ from concate.montecarlo import (
 )
 from concate.seedseq import FixedState, SpawnKeys
 from concate.stats import norm_ppf
+from delta_oracle import bound_gradients, sampling_covariance
 
 BIG = 200_000
 #: Kernel vs scalar reference.  An endpoint is compared relative to the

@@ -4,7 +4,7 @@ reference computations."""
 
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,10 @@ from concate.bands import METHODS, BandOptions, compute_band
 from concate.concentration import BernsteinConstants, Truncation, _mean_bounds
 from concate.errors import ConcateError
 from concate.estimators import GroupStats, split_arms
+from concate.manski import SupportBounds
 from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
 from concate.panel import PanelDataset, PanelSchema, _load_columns, _load_rows
+from delta_oracle import bound_gradients, endpoint_se, sampling_covariance
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -214,6 +216,39 @@ def knobs(draw, kind, y):
     )
 
 
+def assert_matches_the_matrix_form(stats, band):
+    """Each delta-method SE of ``band`` against sqrt(g' S g) of the frozen
+    matrix form.  Both forms round g' S g; its share term carries an error
+    of a few ulps of (p1 p0 / N) M^2, where M is the sum of the magnitudes
+    that enter g (the arm means and that end's two support limits), and
+    |a - b| <= sqrt(|a^2 - b^2|) turns that into the tolerance
+    1e-7 (se + sqrt(p1 p0 / N) M).  The matrix form is evaluated on means,
+    variances and supports scaled by a power of two, which is exact, so
+    that its products of large gradient entries stay finite."""
+    support = band.support
+    ends = (
+        (band.se_lower, 0, support.lower_treated, support.upper_control),
+        (band.se_upper, 1, support.lower_control, support.upper_treated),
+    )
+    magnitudes = [stats.mean_treated, stats.mean_control, support.lower_treated,
+                  support.upper_treated, support.lower_control, support.upper_control]
+    scale = 2.0 ** math.frexp(max(abs(v) for v in magnitudes) or 1.0)[1]
+    scaled = replace(
+        stats,
+        mean_treated=stats.mean_treated / scale, mean_control=stats.mean_control / scale,
+        var_treated=stats.var_treated / scale / scale,
+        var_control=stats.var_control / scale / scale,
+    )
+    scaled_support = SupportBounds(*(v / scale for v in magnitudes[2:]), source="scaled")
+    cov = sampling_covariance(scaled)
+    gradients = bound_gradients(scaled, scaled_support)
+    share_sd = math.sqrt(stats.share_treated * stats.share_control / stats.n)
+    for se, end, lower, upper in ends:
+        oracle = scale * endpoint_se(cov, gradients[end])
+        m = abs(stats.mean_treated) + abs(stats.mean_control) + abs(lower) + abs(upper)
+        assert abs(se - oracle) <= 1e-7 * (se + share_sd * m), (band.method, end, se, oracle)
+
+
 @pytest.mark.parametrize("kind", ["none", "lower", "both"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
@@ -233,6 +268,14 @@ def test_every_band_is_finite_or_a_concate_error(kind, data):
         except ConcateError:
             continue
         assert math.isfinite(band.band_lower) and math.isfinite(band.band_upper), method
+        if band.support is None:  # naive: a Wald SE, not the delta method's
+            continue
+        if band.se_lower is not None:
+            assert_matches_the_matrix_form(stats, band)
+        elif band.support.source == "known":
+            # iid and mixing report no SE of the reduction: hybrid's carries it
+            reduced = compute_band(stats, "hybrid", alpha_u, options)
+            assert (band.band_lower, band.band_upper) == (reduced.band_lower, reduced.band_upper)
 
 
 def test_mean_bound_is_exact_when_the_mean_rounds_outside_the_arm():

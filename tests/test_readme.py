@@ -1,9 +1,13 @@
 """The README's library example and the package's public names."""
 
+import argparse
+import importlib
 import re
 from pathlib import Path
 
 import concate
+from concate.bands import METHODS
+from concate.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,7 +39,17 @@ def test_public_names_paragraph_lists_exactly_the_exports():
 
 
 def test_box_bullets_name_exactly_the_modules():
+    """One bullet per module, and every backticked identifier under them is a
+    module attribute, a band method, a subcommand or one of a few outside names."""
     text = README.read_text()
     section = text[text.index("## What is in the box"):text.index("## Install")]
     modules = {p.stem for p in Path(concate.__file__).parent.glob("*.py")} - {"__init__"}
     assert set(re.findall(r"^- `concate\.(\w+)`", section, re.MULTILINE)) == modules
+    attributes = set().union(*(dir(importlib.import_module(f"concate.{m}")) for m in modules))
+    subcommands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    known = attributes | set(METHODS) | set(subcommands)
+    known |= {"PCG64", "SeedSequence", "kendalltau", "concate"}
+    assert set(re.findall(r"`(\w+)`", section)) - known == set()
