@@ -3,8 +3,8 @@
 Every method takes the same arm statistics, a per-look level alpha_u and
 the run's :class:`BandOptions`, and returns a :class:`BandResult`, so the
 threshold scan and the CLI can treat all seven methods interchangeably.
-:func:`compute_band` checks what the methods share once and then looks the
-method up in :data:`BUILDERS`.
+:func:`compute_band` checks every input once, the arm sizes against one
+table, and then looks the method up in :data:`BUILDERS`.
 """
 
 from __future__ import annotations
@@ -46,11 +46,8 @@ def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Band
     control rows, so that the contributions sum to the estimate itself.
     The region is the point estimate.  Both variances assume independent
     rows: on a serially dependent panel, "excludes zero" is no evidence.
+    Both need two observations per arm, as :func:`compute_band` checks.
     """
-    if stats.degenerate:
-        raise DegenerateArmError("naive estimate needs both arms non-empty")
-    if stats.n_treated < 2 or stats.n_control < 2:
-        raise DegenerateArmError("variance needs at least 2 observations per arm")
     delta = stats.mean_treated - stats.mean_control
     if options.variance_mode == "welch":
         se = math.sqrt(
@@ -104,16 +101,11 @@ BUILDERS: dict[str, Builder] = {
 METHODS = tuple(BUILDERS)
 
 
-#: Each method that reads a truncation -> the fewest observations it needs
-#: per arm (2 for all under a known support), the name its DegenerateArmError
-#: messages give it, and whether its known-support reduction reports the SEs.
-_PADDED = {
-    "iid": (1, "band construction", False),
-    "mixing": (2, "band construction", False),
-    "hybrid": (2, "hybrid band", True),
-}
 #: Methods that understand prior knowledge of the outcome support.
-TRUNCATION_METHODS = tuple(_PADDED)
+TRUNCATION_METHODS = ("iid", "mixing", "hybrid")
+#: Method -> the fewest observations it needs per arm; with both support
+#: limits known every method needs 2 (the delta-method SEs of the reduction).
+_MIN_PER_ARM = dict.fromkeys(METHODS, 2) | {"iid": 1}
 
 
 def compute_band(
@@ -124,41 +116,39 @@ def compute_band(
 ) -> BandResult:
     """Evaluate one band method at per-look level alpha_u.
 
-    A method that reads a truncation first needs its fewest observations
-    per arm, then a truncation that no observed outcome violates.  With
-    both support limits known nothing is left to pad: its band is the
-    delta-method band on the known support, with zero paddings.  A band
-    with a non-finite end is never returned: it raises DegenerateArmError.
+    This is the one place that decides whether a split can carry a band;
+    the builders behind it check nothing.  In order: a known method, a
+    level in (0, 1), a truncation only for :data:`TRUNCATION_METHODS`,
+    both arms non-empty, the method's fewest observations per arm
+    (:data:`_MIN_PER_ARM`), and a truncation that no observed outcome
+    violates.  With both support limits known nothing is left to pad: the
+    band is the delta-method band on the known support, with zero
+    paddings, and only hybrid reports its SEs.  A band with a non-finite
+    end is never returned: it raises DegenerateArmError.
     """
-    band = _band(stats, method, alpha_u, options or BandOptions())
-    if not (math.isfinite(band.band_lower) and math.isfinite(band.band_upper)):
-        raise DegenerateArmError(f"{method} band has a non-finite end")
-    return band
-
-
-def _band(stats: GroupStats, method: str, alpha_u: float, options: BandOptions) -> BandResult:
     if method not in BUILDERS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 < alpha_u < 1.0:
         raise ValidationError(f"alpha_u must lie in (0, 1), got {alpha_u}")
+    options = options or BandOptions()
     truncation = options.truncation
-    if method not in _PADDED:
-        if truncation.kind != "none":
-            raise ValidationError(
-                f"truncation is only supported by {TRUNCATION_METHODS}, not {method!r}"
-            )
-        return BUILDERS[method](stats, alpha_u, options)
-    min_per_arm, name, reports_se = _PADDED[method]
+    if truncation.kind != "none" and method not in TRUNCATION_METHODS:
+        raise ValidationError(
+            f"truncation is only supported by {TRUNCATION_METHODS}, not {method!r}"
+        )
     if stats.degenerate:
-        raise DegenerateArmError(f"{name} needs both arms non-empty")
-    if truncation.kind == "both":
-        min_per_arm = 2
+        raise DegenerateArmError(f"{method} needs both arms non-empty")
+    min_per_arm = 2 if truncation.kind == "both" else _MIN_PER_ARM[method]
     if min(stats.n_treated, stats.n_control) < min_per_arm:
-        raise DegenerateArmError(f"{name} needs at least {min_per_arm} observations per arm")
+        raise DegenerateArmError(f"{method} needs at least {min_per_arm} observations per arm")
     check_truncation_consistency(stats, truncation)
     if truncation.kind != "both":
-        return BUILDERS[method](stats, alpha_u, options)
-    support = known_support(truncation.lower, truncation.upper)
-    band = delta_method_band(stats, support, alpha_u, method=method)
-    unused = {} if reports_se else {"se_lower": None, "se_upper": None, "multiplier": None}
-    return replace(band, paddings=Paddings.zero(), **unused)
+        band = BUILDERS[method](stats, alpha_u, options)
+    else:
+        support = known_support(truncation.lower, truncation.upper)
+        band = delta_method_band(stats, support, alpha_u, method=method)
+        unused = {} if method == "hybrid" else dict.fromkeys(("se_lower", "se_upper", "multiplier"))
+        band = replace(band, paddings=Paddings.zero(), **unused)
+    if not (math.isfinite(band.band_lower) and math.isfinite(band.band_upper)):
+        raise DegenerateArmError(f"{method} band has a non-finite end")
+    return band

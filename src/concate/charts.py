@@ -40,7 +40,7 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return ticks or [lo]
 
 
-def render_band_chart(result: ScanResult, path: str | Path, title: str | None = None) -> None:
+def render_band_chart(result: ScanResult, path: str | Path) -> None:
     """Write the scan to an SVG file.
 
     Only retained thresholds are drawn; skipped thresholds leave visible
@@ -131,7 +131,7 @@ def render_band_chart(result: ScanResult, path: str | Path, title: str | None = 
             f'<text x="{MARGIN_LEFT - 9}" y="{y + 4:.2f}" font-size="11" '
             f'text-anchor="end" font-family="sans-serif">{tick:g}</text>'
         )
-    label = title or f"{result.method} band, alpha {result.alpha:g}"
+    label = f"{result.method} band, alpha {result.alpha:g}"
     parts.append(
         f'<text x="{MARGIN_LEFT}" y="{MARGIN_TOP - 14}" font-size="14" '
         f'font-family="sans-serif">{escape(label, quote=False)}</text>'

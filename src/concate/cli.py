@@ -413,6 +413,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         designs = list(MC_DESIGNS)
     else:
         designs = [d.strip().upper() for d in args.dgp.split(",") if d.strip()]
+    if not designs:
+        raise ValidationError("--dgp produced an empty list")
     try:
         periods_list = [int(t) for t in args.T.split(",") if t.strip()]
     except ValueError:

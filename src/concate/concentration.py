@@ -15,17 +15,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, DataError, ValidationError
 from .estimators import VARIANCE_MODES, GroupStats
-from .manski import (
-    BandResult,
-    Paddings,
-    SupportBounds,
-    extrema_support,
-    manski_region,
-)
+from .manski import BandResult, Paddings, SupportBounds, manski_region
 from .stats import long_run_variance
 
 
@@ -338,22 +332,12 @@ def padded_support(
     )
 
 
-def _unpadded_region(stats: GroupStats, trunc: Truncation) -> tuple[float, float]:
-    """The plug-in region that the padded methods report: on the observed
-    extrema, with a known lower limit in place of the lower ones."""
-    support = extrema_support(stats)
-    if trunc.kind == "lower":
-        support = replace(
-            support, lower_treated=trunc.lower, lower_control=trunc.lower, source="lower-known"
-        )
-    return manski_region(stats, support)
-
-
 def _padded_band(
     stats: GroupStats, method: str, alpha_u: float, trunc: Truncation, paddings: Paddings
 ) -> BandResult:
     """The six-event band: ``padded_interval`` on the supports widened by the
-    support paddings, reported with the region on the unpadded supports."""
+    support paddings, reported with the region on the unpadded supports
+    (zero paddings, so a known lower limit still replaces the lower ones)."""
     support = padded_support(stats, trunc, paddings.eps_treated, paddings.eps_control)
     lower, upper = padded_interval(
         stats.mean_treated,
@@ -363,7 +347,7 @@ def _padded_band(
         support,
         paddings,
     )
-    region_lower, region_upper = _unpadded_region(stats, trunc)
+    region_lower, region_upper = manski_region(stats, padded_support(stats, trunc, 0.0, 0.0))
     return BandResult(
         method=method,
         alpha_u=alpha_u,
@@ -385,8 +369,9 @@ def _iid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandRe
     Hoeffding share events (pooled sample size), two Bernstein mean
     events.  A known lower limit replaces the lower supports unpadded and
     halves the DKW budget to one-sided.  :func:`concate.bands.compute_band`
-    checks the arms and the truncation first, and reduces the both-limits
-    case to the delta-method band.
+    checks the arms first (one observation each is enough here, as the
+    mean bounds need no variance) and the truncation, and reduces the
+    both-limits case to the delta-method band, which needs two.
     """
     sides = "one" if options.truncation.kind == "lower" else "two"
     t_share = dkw_epsilon(alpha_u, stats.n)
@@ -407,28 +392,23 @@ def _mixing_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
 
     Support and share paddings share the dependence-adjusted form (1 + 4
     c_alpha) * sqrt(2 log(12 / alpha_u) / n_k) on arm sizes; the support
-    padding equals the share padding exactly as stated.  Mean paddings
-    come from the three-term weak-dependence Bernstein bound, with the
-    long-run variance estimated per arm from the serial outcome order
-    unless overridden.
+    padding equals the share padding exactly as stated, unless a known
+    lower limit halves its budget to one-sided, as for ``iid``.  Mean
+    paddings come from the three-term weak-dependence Bernstein bound,
+    with the long-run variance estimated per arm from the serial outcome
+    order unless overridden.
     """
+    sides = "one" if options.truncation.kind == "lower" else "two"
     c_alpha = options.c_alpha
-    t_share_1 = dkw_epsilon(alpha_u, stats.n_treated, c_alpha=c_alpha)
-    t_share_0 = dkw_epsilon(alpha_u, stats.n_control, c_alpha=c_alpha)
-    if options.truncation.kind == "lower":
-        eps1 = dkw_epsilon(alpha_u, stats.n_treated, sides="one", budget=12.0, c_alpha=c_alpha)
-        eps0 = dkw_epsilon(alpha_u, stats.n_control, sides="one", budget=12.0, c_alpha=c_alpha)
-    else:
-        eps1, eps0 = t_share_1, t_share_0
     v1 = v0 = options.bernstein.long_run_var
     if v1 is None:
         v1 = long_run_variance(stats.treated_serial)
         v0 = long_run_variance(stats.control_serial)
     paddings = Paddings(
-        eps_treated=eps1,
-        eps_control=eps0,
-        t_share_treated=t_share_1,
-        t_share_control=t_share_0,
+        eps_treated=dkw_epsilon(alpha_u, stats.n_treated, sides=sides, c_alpha=c_alpha),
+        eps_control=dkw_epsilon(alpha_u, stats.n_control, sides=sides, c_alpha=c_alpha),
+        t_share_treated=dkw_epsilon(alpha_u, stats.n_treated, c_alpha=c_alpha),
+        t_share_control=dkw_epsilon(alpha_u, stats.n_control, c_alpha=c_alpha),
         t_mean_treated=max(bernstein_mixing_terms(alpha_u, stats.n_treated, options.bernstein, v1)),
         t_mean_control=max(bernstein_mixing_terms(alpha_u, stats.n_control, options.bernstein, v0)),
     )

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .concentration import BandOptions, _unpadded_region, dkw_epsilon, padded_support
+from .concentration import BandOptions, dkw_epsilon, padded_support
 from .estimators import GroupStats
-from .manski import BandResult, Paddings, delta_method_band
+from .manski import BandResult, Paddings, delta_method_band, manski_region
 
 
 def _hybrid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
@@ -27,9 +27,9 @@ def _hybrid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     the lower supports are the known limit, unpadded).  The band is the
     delta-method band on the padded supports at alpha_u / 2, reported at
     alpha_u with the region on the unpadded supports.
-    :func:`concate.bands.compute_band` checks the arms and the truncation
-    first, and with both limits known, where nothing needs padding,
-    reduces the construction to the delta-method band on the known support.
+    :func:`concate.bands.compute_band` checks for two observations in each arm
+    and the truncation first, and with both limits known, where nothing
+    needs padding, reduces it to the delta-method band on the known support.
     """
     trunc = options.truncation
     sides = "one" if trunc.kind == "lower" else "two"
@@ -38,7 +38,7 @@ def _hybrid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     eps0 = dkw_epsilon(alpha_u, stats.n_control, sides=sides, budget=8.0, c_alpha=c_alpha)
     support = padded_support(stats, trunc, eps1, eps0)
     band = delta_method_band(stats, support, alpha_u / 2.0, "hybrid")
-    region_lower, region_upper = _unpadded_region(stats, trunc)
+    region_lower, region_upper = manski_region(stats, padded_support(stats, trunc, 0.0, 0.0))
     return replace(
         band,
         alpha_u=alpha_u,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArmError, ValidationError
+from .errors import ValidationError
 from .estimators import GroupStats, _order_statistic
 from .stats import norm_ppf
 
@@ -97,9 +97,8 @@ class BandResult:
 
 
 def extrema_support(stats: GroupStats) -> SupportBounds:
-    """Per-arm empirical min/max as the support estimate."""
-    if stats.degenerate:
-        raise DegenerateArmError("extrema support needs both arms non-empty")
+    """Per-arm empirical min/max as the support estimate, of two non-empty
+    arms (:func:`concate.bands.compute_band` checks that)."""
     return SupportBounds(
         lower_treated=stats.min_treated,
         upper_treated=stats.max_treated,
@@ -113,10 +112,9 @@ def trimmed_support(stats: GroupStats, p: float) -> SupportBounds:
     """Quantile-trimmed support: [Q_k(p), Q_k(1 - p)] per arm, 0 < p < 0.5.
 
     Quantiles follow the ceiling order-statistic rule of
-    :func:`concate.estimators._order_statistic`.
+    :func:`concate.estimators._order_statistic`.  Both arms must be
+    non-empty, as :func:`concate.bands.compute_band` checks.
     """
-    if stats.degenerate:
-        raise DegenerateArmError("trimmed support needs both arms non-empty")
     return SupportBounds(
         lower_treated=_order_statistic(stats.treated_sorted, p),
         upper_treated=_order_statistic(stats.treated_sorted, 1.0 - p),
@@ -182,9 +180,9 @@ def delta_method_band(
 
     Each endpoint receives half of alpha_u (Bonferroni), so the multiplier
     is the normal quantile at 1 - alpha_u / 2.  ``method`` names the result.
+    The arm variances need two observations in each arm, as
+    :func:`concate.bands.compute_band` checks.
     """
-    if stats.n_treated < 2 or stats.n_control < 2:
-        raise DegenerateArmError("sampling covariance needs 2+ observations per arm")
     lower, upper, se_lower, se_upper = map(float, delta_method_interval(
         stats.mean_treated, stats.mean_control, stats.n_treated, stats.n_control,
         stats.var_treated, stats.var_control, support.lower_treated, support.upper_treated,

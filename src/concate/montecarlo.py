@@ -235,7 +235,7 @@ def _replication_intervals(
     """Coverage-experiment intervals for a (B, N) block, one row per replication.
 
     Arm statistics are masked reductions along axis 1.  Every row needs
-    both arms non-empty and, outside design G, two observations per arm;
+    both arms non-empty and, outside design G, two observations in each arm;
     callers check that.  Both arms share the support [a, b] of the
     baseline, not the observed, outcomes: (-5, 5) in design G, [0, max] in
     design F, the extrema otherwise.  The plug-in interval and its endpoint
@@ -394,14 +394,17 @@ def coverage_table(
     workers: int = 1,
     manski_variant: str = "plugin",
 ) -> list[CellCoverage]:
-    """All (design, periods) cells, serially or across processes.
+    """All (design, periods) cells, serially or across processes; ``None``
+    takes every design, or T in (1, 2, 5).
 
     At most min(workers, cells, CPUs) processes run.  Results are identical
     for any worker count because every replication derives its own stream
     from the cell coordinates.
     """
-    designs = list(designs) if designs else list(MC_DESIGNS)
-    periods_list = list(periods_list) if periods_list else [1, 2, 5]
+    designs = list(MC_DESIGNS) if designs is None else list(designs)
+    periods_list = [1, 2, 5] if periods_list is None else list(periods_list)
+    if not designs or not periods_list:
+        raise ValidationError("designs and periods_list must not be empty")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     tasks = [

@@ -445,7 +445,8 @@ class TestTruncationPins:
     re-recorded when the delta-method SE became one closed form (last-digit
     moves of SEs and band ends, at most 8 ulps of a band end) and the
     known-support reduction took two per arm for ``iid`` too (14 cases
-    changed their error; the counts below)."""
+    changed their error), and again when every arm-size error came to name
+    its method (264 cases, error text only; the counts below)."""
 
     @pytest.mark.parametrize(
         ("method", "upper", "json_sha256"),
@@ -485,36 +486,41 @@ class TestTruncationPins:
             "DataError: known upper limit 2.5 is below the observed maximum 2.682941969615793": 9,
             "DataError: known upper limit 2.5 is below the observed maximum 2.8185948536513634": 9,
             "DataError: known upper limit 2.5 is below the observed maximum 2.9812147113897405": 9,
-            "DegenerateArmError: band construction needs at least 2 observations per arm": 49,
-            "DegenerateArmError: band construction needs both arms non-empty": 80,
-            "DegenerateArmError: extrema support needs both arms non-empty": 8,
-            "DegenerateArmError: hybrid band needs at least 2 observations per arm": 35,
-            "DegenerateArmError: hybrid band needs both arms non-empty": 40,
-            "DegenerateArmError: naive estimate needs both arms non-empty": 8,
-            "DegenerateArmError: sampling covariance needs 2+ observations per arm": 21,
-            "DegenerateArmError: trimmed support needs both arms non-empty": 16,
-            "DegenerateArmError: variance needs at least 2 observations per arm": 7,
+            "DegenerateArmError: hybrid needs at least 2 observations per arm": 35,
+            "DegenerateArmError: hybrid needs both arms non-empty": 40,
+            "DegenerateArmError: iid needs at least 2 observations per arm": 14,
+            "DegenerateArmError: iid needs both arms non-empty": 40,
+            "DegenerateArmError: manski-max needs at least 2 observations per arm": 7,
+            "DegenerateArmError: manski-max needs both arms non-empty": 8,
+            "DegenerateArmError: manski-q05 needs at least 2 observations per arm": 7,
+            "DegenerateArmError: manski-q05 needs both arms non-empty": 8,
+            "DegenerateArmError: manski-q10 needs at least 2 observations per arm": 7,
+            "DegenerateArmError: manski-q10 needs both arms non-empty": 8,
+            "DegenerateArmError: mixing needs at least 2 observations per arm": 35,
+            "DegenerateArmError: mixing needs both arms non-empty": 40,
+            "DegenerateArmError: naive needs at least 2 observations per arm": 7,
+            "DegenerateArmError: naive needs both arms non-empty": 8,
             "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'manski-max'": 96,
             "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'manski-q05'": 96,
             "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'manski-q10'": 96,
             "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'naive'": 96,
         }
         digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
-        assert digest == "4337d9eba6816992451df2cf6d59842404f3bb1c41dc805588b4618157e89383"
+        assert digest == "817b1624078d3492c6e88c47824b40153f1b07720f074c6898628ca7d6b16547"
 
     def test_too_small_an_arm_is_reported_before_a_truncation_conflict(self):
         conflict = TRUNCATIONS["lower 5"]
         assert band_outcome(0, 30, "iid", conflict) == (
-            "DegenerateArmError: band construction needs both arms non-empty"
+            "DegenerateArmError: iid needs both arms non-empty"
         )
         assert band_outcome(1, 30, "mixing", conflict) == (
-            "DegenerateArmError: band construction needs at least 2 observations per arm"
+            "DegenerateArmError: mixing needs at least 2 observations per arm"
         )
         assert band_outcome(1, 30, "hybrid", conflict) == (
-            "DegenerateArmError: hybrid band needs at least 2 observations per arm"
+            "DegenerateArmError: hybrid needs at least 2 observations per arm"
         )
         assert band_outcome(30, 0, "hybrid", conflict) == (
-            "DegenerateArmError: hybrid band needs both arms non-empty"
+            "DegenerateArmError: hybrid needs both arms non-empty"
         )
         assert band_outcome(1, 30, "iid", conflict).startswith("DataError: known lower limit")
 
@@ -524,13 +530,33 @@ class TestTruncationPins:
         for label in ("both -10 10", "both -10 2.5"):
             for method in ("iid", "mixing"):
                 assert band_outcome(1, 3, method, TRUNCATIONS[label]) == (
-                    "DegenerateArmError: band construction needs at least 2 observations per arm"
+                    f"DegenerateArmError: {method} needs at least 2 observations per arm"
                 )
             assert band_outcome(3, 1, "hybrid", TRUNCATIONS[label]) == (
-                "DegenerateArmError: hybrid band needs at least 2 observations per arm"
+                "DegenerateArmError: hybrid needs at least 2 observations per arm"
             )
         for label in ("none", "lower -10"):
             assert json.loads(band_outcome(1, 3, "iid", TRUNCATIONS[label]))["n_treated"] == 1
+
+    @pytest.mark.parametrize("label", ["none", "lower -10", "both -10 10"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_and_truncation_kind_has_one_arm_minimum(self, method, label):
+        """An empty arm, an arm one below the minimum and an arm at it, in
+        either arm; a truncation the method cannot read is reported first."""
+        need = 1 if method == "iid" and label != "both -10 10" else 2
+        for short in (0, need - 1, need):
+            for n1, n0 in ((short, 30), (30, short)):
+                outcome = band_outcome(n1, n0, method, TRUNCATIONS[label])
+                if label != "none" and method not in ("iid", "mixing", "hybrid"):
+                    assert outcome.startswith("ValidationError: truncation is only supported")
+                elif short == 0:
+                    assert outcome == f"DegenerateArmError: {method} needs both arms non-empty"
+                elif short < need:
+                    assert outcome == (
+                        f"DegenerateArmError: {method} needs at least {need} observations per arm"
+                    )
+                else:
+                    assert not outcome.startswith(f"DegenerateArmError: {method} needs"), outcome
 
     def test_known_support_reports_zero_paddings_and_only_hybrid_an_se(self):
         for method in ("iid", "mixing", "hybrid"):
@@ -883,6 +909,17 @@ class TestSimulate:
         assert main(["simulate", "--dgp", "A", "--T", "1", "--reps", "5",
                      "--alpha", "1.5", "--out", out]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, lists", [("--dgp", [",", "1"]), ("--T", ["A", ","])]
+    )
+    def test_an_empty_list_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, lists):
+        out, report = tmp_path / "cov.csv", tmp_path / "cov.json"
+        argv = ["simulate", "--dgp", lists[0], "--T", lists[1], "--reps", "1",
+                "--out", str(out), "--json", str(report)]
+        assert main(argv) == 2
+        assert f"{flag} produced an empty list" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

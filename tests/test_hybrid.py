@@ -172,12 +172,14 @@ def pinned_outcomes():
 
 def test_hybrid_band_is_pinned_across_truncations_c_alpha_and_levels():
     # re-recorded when the delta-method SE became one closed form: SEs moved
-    # by at most 55 ulps and band ends by at most 2; no error changed
+    # by at most 55 ulps and band ends by at most 2; no error changed.  Then
+    # again when the arm-size errors came to name the method: 81 outcomes
+    # went from "hybrid band needs ..." to "hybrid needs ...", no value moved
     digest = hashlib.sha256()
     for outcome in pinned_outcomes():
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == (
-        "2adcee48a98dd585c39c699c9caf8070233613a368be723987b34ad6b695d470"
+        "880b47e7bf348cad88f4e7e065733e3ee02f92db018c4fd2004291de481dda17"
     )
 
 

@@ -101,13 +101,6 @@ class TestSupports:
         with pytest.raises(ValidationError):
             SupportBounds(math.nan, 1.0, 0.0, 1.0, source="known")
 
-    def test_degenerate_stats_rejected(self):
-        s = split_arms(np.ones(4), np.ones(4, dtype=bool))
-        with pytest.raises(DegenerateArmError):
-            extrema_support(s)
-        with pytest.raises(DegenerateArmError):
-            trimmed_support(s, 0.1)
-
 
 class TestManskiRegion:
     def test_hand_computed_region(self):

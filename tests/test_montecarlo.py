@@ -611,6 +611,11 @@ class TestCoverageTable:
         with pytest.raises(ValidationError):
             coverage_table(designs=["A"], n_reps=5, workers=0)
 
+    @pytest.mark.parametrize("empty", ["designs", "periods_list"])
+    def test_only_none_takes_the_default(self, empty):
+        with pytest.raises(ValidationError, match="must not be empty"):
+            coverage_table(**{empty: []}, n_reps=5)
+
 
 class TestCoverageCsv:
     def test_exact_layout(self, tmp_path):

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concate.bands import METHODS, BandOptions, compute_band
+from concate.bands import METHODS, TRUNCATION_METHODS, BandOptions, compute_band
 from concate.concentration import BernsteinConstants, Truncation, _mean_bounds
-from concate.errors import ConcateError
+from concate.errors import ConcateError, DegenerateArmError
 from concate.estimators import GroupStats, split_arms
 from concate.manski import SupportBounds
 from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
@@ -254,19 +254,31 @@ def assert_matches_the_matrix_form(stats, band):
 @given(data=st.data())
 def test_every_band_is_finite_or_a_concate_error(kind, data):
     """compute_band is the boundary: behind it the kernels check nothing, so
-    any input that reaches them must give a finite band or a ConcateError."""
+    any input that reaches them must give a finite band or a ConcateError.
+    An arm below the method's minimum (one for iid without an upper limit,
+    else two) raises exactly the arm-size message, and only then."""
     y, z = data.draw(samples())
     if data.draw(st.booleans()):
         y = np.full_like(y, y[0])
     stats = split_arms(y, z)
     alpha_u = data.draw(LEVELS)
     options = data.draw(knobs(kind, y))
+    smallest = min(stats.n_treated, stats.n_control)
     for method in METHODS:
+        need = 1 if method == "iid" and kind != "both" else 2
+        too_small = smallest < need and (kind == "none" or method in TRUNCATION_METHODS)
         try:
             with np.errstate(all="ignore"):  # an overflow is an outcome under test
                 band = compute_band(stats, method, alpha_u, options)
-        except ConcateError:
+        except ConcateError as exc:
+            if too_small:
+                wanted = "both arms non-empty" if smallest == 0 else (
+                    f"at least {need} observations per arm")
+                assert (type(exc), str(exc)) == (DegenerateArmError, f"{method} needs {wanted}")
+            else:
+                assert "per arm" not in str(exc) and "non-empty" not in str(exc), (method, exc)
             continue
+        assert not too_small, method
         assert math.isfinite(band.band_lower) and math.isfinite(band.band_upper), method
         if band.support is None:  # naive: a Wald SE, not the delta method's
             continue
