@@ -31,14 +31,15 @@ from .manski import (
     extrema_support,
     known_support,
     trimmed_support,
+    wald_band,
 )
-from .stats import norm_ppf
 
 Builder = Callable[[GroupStats, float, BandOptions], BandResult]
 
 
 def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
-    """Difference in means with a two-sided Wald interval at level alpha_u.
+    """Difference in means, widened by :func:`concate.manski.wald_band` at
+    level alpha_u.
 
     variance_mode 'welch' uses var1/n1 + var0/n0.  Mode 'contrast' uses the
     sample variance (n - 1 denominator) of the per-observation weighted
@@ -61,20 +62,7 @@ def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Band
             ]
         )
         se = math.sqrt(float(np.sum((contributions - delta) ** 2)) / (stats.n - 1))
-    z = norm_ppf(1.0 - alpha_u / 2.0)
-    return BandResult(
-        method="naive",
-        alpha_u=alpha_u,
-        n_treated=stats.n_treated,
-        n_control=stats.n_control,
-        region_lower=delta,
-        region_upper=delta,
-        band_lower=delta - z * se,
-        band_upper=delta + z * se,
-        se_lower=se,
-        se_upper=se,
-        multiplier=z,
-    )
+    return wald_band(stats, "naive", alpha_u, delta, delta, se, se)
 
 
 def _manski_band(method: str, trim: float | None) -> Builder:

@@ -111,6 +111,8 @@ def _add_band_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_panel(args: argparse.Namespace):
+    if args.group_filter is not None and args.group_col is None:
+        raise ValidationError("--group-filter requires --group-col")
     schema = PanelSchema(
         unit=args.unit_col,
         time=args.time_col,
@@ -362,7 +364,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     options, resolved = _resolve_band_options(args)
     grid = ThresholdGrid.from_spec(args.grid)
     schedule = None
-    if args.alpha_schedule:
+    if args.alpha_schedule is not None:
         try:
             schedule = [float(x) for x in args.alpha_schedule.split(",")]
         except ValueError:

@@ -170,24 +170,22 @@ def delta_method_interval(mean1, mean0, n1, n0, var1, var0, lower1, upper1, lowe
     )
 
 
-def delta_method_band(
-    stats: GroupStats,
-    support: SupportBounds,
-    alpha_u: float,
-    method: str = "delta-method",
-) -> BandResult:
-    """Simultaneous band for the identified interval via the delta method.
-
-    Each endpoint receives half of alpha_u (Bonferroni), so the multiplier
-    is the normal quantile at 1 - alpha_u / 2.  ``method`` names the result.
-    The arm variances need two observations in each arm, as
-    :func:`concate.bands.compute_band` checks.
-    """
-    lower, upper, se_lower, se_upper = map(float, delta_method_interval(
-        stats.mean_treated, stats.mean_control, stats.n_treated, stats.n_control,
-        stats.var_treated, stats.var_control, support.lower_treated, support.upper_treated,
-        support.lower_control, support.upper_control))
+def wald_interval(lower, upper, se_lower, se_upper, alpha_u):
+    """The interval [lower, upper] widened by z * SE at each end, and z: the
+    normal quantile at 1 - alpha_u / 2, so that each end gets half of
+    alpha_u (Bonferroni).  Ends and SEs are floats or (B,) arrays; this is
+    the one normal-quantile widening of every band and interval."""
     z = norm_ppf(1.0 - alpha_u / 2.0)
+    return lower - z * se_lower, upper + z * se_upper, z
+
+
+def wald_band(stats: GroupStats, method: str, alpha_u: float, lower: float, upper: float,
+              se_lower: float, se_upper: float,
+              support: SupportBounds | None = None) -> BandResult:
+    """The :class:`BandResult` of the region [lower, upper] widened by
+    :func:`wald_interval` at level alpha_u: the one constructor of every
+    Wald-type band."""
+    band_lower, band_upper, z = wald_interval(lower, upper, se_lower, se_upper, alpha_u)
     return BandResult(
         method=method,
         alpha_u=alpha_u,
@@ -195,10 +193,29 @@ def delta_method_band(
         n_control=stats.n_control,
         region_lower=lower,
         region_upper=upper,
-        band_lower=lower - z * se_lower,
-        band_upper=upper + z * se_upper,
+        band_lower=band_lower,
+        band_upper=band_upper,
         se_lower=se_lower,
         se_upper=se_upper,
         support=support,
         multiplier=z,
     )
+
+
+def delta_method_band(
+    stats: GroupStats,
+    support: SupportBounds,
+    alpha_u: float,
+    method: str = "delta-method",
+) -> BandResult:
+    """Simultaneous band for the identified interval via the delta method:
+    :func:`delta_method_interval` on ``support``, widened by
+    :func:`wald_band` at level alpha_u.  ``method`` names the result.
+    The arm variances need two observations in each arm, as
+    :func:`concate.bands.compute_band` checks.
+    """
+    lower, upper, se_lower, se_upper = map(float, delta_method_interval(
+        stats.mean_treated, stats.mean_control, stats.n_treated, stats.n_control,
+        stats.var_treated, stats.var_control, support.lower_treated, support.upper_treated,
+        support.lower_control, support.upper_control))
+    return wald_band(stats, method, alpha_u, lower, upper, se_lower, se_upper, support)

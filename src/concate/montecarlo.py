@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .concentration import dkw_epsilon
 from .errors import ConfigurationError, ValidationError
-from .manski import delta_method_interval
-from .stats import norm_ppf
+from .manski import delta_method_interval, wald_interval
 
 MC_DESIGNS = ("A", "B", "C", "D", "E", "F", "G")
 MANSKI_VARIANTS = ("plugin", "banded")
@@ -242,9 +242,11 @@ def _replication_intervals(
     SEs are :func:`concate.manski.delta_method_interval`, as in every
     delta-method look band; with one support both ends have g = mean1 +
     mean0 - a - b, and so one SE.  ``banded_*`` widens the plug-in
-    interval by it at the normal quantile of 1 - alpha / 2; ``hybrid_*``
-    by eps = sqrt(log(C) / (2 N)), C = 2 / alpha (1 / alpha in design F),
-    plus the normal quantile of 1 - alpha / 4 times sqrt(se^2 + se^2).
+    interval by :func:`concate.manski.wald_interval` at level alpha.
+    ``hybrid_*`` pads it by the pooled :func:`concate.concentration.dkw_epsilon`
+    at budget 2, eps = sqrt(log(C) / (2 N)) with C = 2 / alpha (1 / alpha,
+    one-sided, in design F), then widens it by ``wald_interval`` at level
+    alpha / 2: the normal quantile of 1 - alpha / 4 times sqrt(se^2 + se^2).
     For design G the hybrid arrays are the plug-in arrays and the reported
     epsilon and SE are zero.
     """
@@ -268,16 +270,15 @@ def _replication_intervals(
     var0 = np.divide(np.einsum("ij,ij->i", sq, in0), n0 - 1,
                      out=np.full(n0.shape, np.nan), where=n0 > 1)
     lower, upper, se, _ = delta_method_interval(mean1, mean0, n1, n0, var1, var0, a, b, a, b)
-    z_banded = norm_ppf(1.0 - alpha / 2.0)
-    banded_lower = lower - z_banded * se
-    banded_upper = upper + z_banded * se
+    banded_lower, banded_upper, _ = wald_interval(lower, upper, se, se, alpha)
     if design == "G":
         return _Intervals(lower, upper, lower, upper, banded_lower, banded_upper,
                           a, b, 0.0, np.zeros(n1.shape))
-    log_c = math.log(1.0 / alpha) if design == "F" else math.log(2.0 / alpha)
-    epsilon = math.sqrt(log_c / (2.0 * n))
-    spread = norm_ppf(1.0 - alpha / 4.0) * np.hypot(se, se)
-    return _Intervals(lower, upper, lower - epsilon - spread, upper + epsilon + spread,
+    epsilon = dkw_epsilon(alpha, n, sides="one" if design == "F" else "two", budget=2.0)
+    se_pooled = np.hypot(se, se)
+    hybrid_lower, hybrid_upper, _ = wald_interval(lower - epsilon, upper + epsilon,
+                                                  se_pooled, se_pooled, alpha / 2.0)
+    return _Intervals(lower, upper, hybrid_lower, hybrid_upper,
                       banded_lower, banded_upper, a, b, epsilon, se)
 
 
@@ -405,6 +406,10 @@ def coverage_table(
     periods_list = [1, 2, 5] if periods_list is None else list(periods_list)
     if not designs or not periods_list:
         raise ValidationError("designs and periods_list must not be empty")
+    for name, values in (("design", designs), ("period count", periods_list)):
+        repeats = sorted({v for v in values if values.count(v) > 1})
+        if repeats:
+            raise ValidationError(f"each {name} may appear once, repeated: {repeats}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     tasks = [

@@ -4,12 +4,11 @@
 of four uint32 words with a mixing algorithm that numpy documents as fixed
 across releases, then hashes the pool into the requested state.  Building
 one SeedSequence object per key is dominated by per-object overhead.
-``SpawnKeys`` runs the same algorithm for many keys that share their
-entropy and leading spawn-key elements: the shared words are mixed into the
-pool once, as Python ints, and each remaining word then enters all four
-pool words in one step over a (4, rows) uint32 array, which wraps modulo
-2**32 as the C code does.  ``FixedState`` hands one resulting row to
-``PCG64``.
+``SpawnKeys`` serves many keys that share their entropy and leading
+spawn-key elements: numpy's own SeedSequence mixes that shared prefix into
+the pool once, and each remaining word then enters all four pool words in
+one step over a (4, rows) uint32 array, which wraps modulo 2**32 as the C
+code does.  ``FixedState`` hands one resulting row to ``PCG64``.
 
 This module imports ``numpy.random`` and is imported only where
 generators are built, which keeps ``numpy.random`` off the CLI's start-up
@@ -70,29 +69,16 @@ def _words(value: int) -> list[int]:
 class SpawnKeys:
     """``SeedSequence(entropy, spawn_key=prefix + suffix)`` states for
     suffixes that share ``entropy`` and a non-empty ``prefix`` of
-    non-negative ints."""
+    non-negative ints.  The shared pool is ``SeedSequence(entropy,
+    spawn_key=prefix).pool``; the suffix words continue its hash constants,
+    which :func:`_hash_constants` recomputes from the prefix's word count."""
 
     def __init__(self, entropy: int, prefix: tuple[int, ...]) -> None:
-        run = _words(entropy)
-        # SeedSequence zero-pads short entropy to the pool size when a spawn key follows
-        words = run + [0] * (POOL_SIZE - len(run))
-        for element in prefix:
-            words += _words(element)
-        head, tail = words[:POOL_SIZE], words[POOL_SIZE:]
-        a = _hash_constants(INIT_A, MULT_A, POOL_SIZE * (POOL_SIZE + len(tail)))
-        pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(head)]
-        k = POOL_SIZE
-        for src in range(POOL_SIZE):
-            for dst in range(POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k], a[k + 1]))
-                    k += 1
-        for word in tail:
-            for dst in range(POOL_SIZE):
-                pool[dst] = _mix(pool[dst], _hashmix(word, a[k], a[k + 1]))
-                k += 1
-        self._pool = np.array(pool, dtype=np.uint32)[:, None]
-        self._next_const = a[k]
+        self._pool = np.random.SeedSequence(entropy, spawn_key=prefix).pool[:, None]
+        # the pool has taken 4 hashmix calls per word: the entropy's words,
+        # zero-padded to the pool size as a spawn key requires, then the prefix's
+        words = max(len(_words(entropy)), POOL_SIZE) + sum(len(_words(e)) for e in prefix)
+        self._next_const = _hash_constants(INIT_A, MULT_A, POOL_SIZE * words)[-1]
 
     def states(self, *suffix) -> np.ndarray:
         """``generate_state(4, np.uint64)`` for the keys ``prefix + suffix``,

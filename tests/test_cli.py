@@ -187,6 +187,15 @@ class TestDescribe:
         assert rc == 0
         assert out[1].startswith("outcome,3,")
 
+    @pytest.mark.parametrize("command", [["describe"], ["bounds", "--tau", "50"], ["scan"]])
+    def test_group_filter_without_group_col_is_rejected_before_the_panel_is_read(
+        self, tmp_path, capsys, command
+    ):
+        """The panel does not exist: reading it would exit 3."""
+        argv = [command[0], str(tmp_path / "absent.csv"), *command[1:], "--group-filter", "fin"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --group-filter requires --group-col\n"
+
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         rc = main(["describe", str(tmp_path / "absent.csv")])
         assert rc == 3
@@ -662,9 +671,11 @@ class TestScan:
         assert captured.err == ""
 
     def test_bad_schedule_text(self, tmp_path, capsys):
-        rc = main(["scan", demo_csv(tmp_path), "--alpha-schedule", "0.01,x"])
-        assert rc == 2
-        capsys.readouterr()
+        path = demo_csv(tmp_path)
+        for text in ("0.01,x", ""):
+            rc = main(["scan", path, "--alpha-schedule", text])
+            assert rc == 2
+            assert "must be comma-separated numbers" in capsys.readouterr().err
 
     def test_non_finite_schedule_is_a_validation_error(self, tmp_path, capsys):
         path = demo_csv(tmp_path)
@@ -928,6 +939,9 @@ class TestSimulate:
             (["--n", "3"], "at least 4 observations"),
             (["--n", "1"], "at least 4 observations"),
             (["--reps", "1000001"], "n_reps must lie in [1, 1,000,000]"),
+            (["--dgp", "A,A"], "each design may appear once, repeated: ['A']"),
+            (["--dgp", "a,A"], "each design may appear once, repeated: ['A']"),
+            (["--T", "1,1"], "each period count may appear once, repeated: [1]"),
         ],
     )
     def test_runs_that_cannot_start_exit_2_before_drawing(self, tmp_path, capsys, argv, message):

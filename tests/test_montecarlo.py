@@ -610,6 +610,13 @@ class TestCoverageTable:
             coverage_table(designs=["Z"], n_reps=5)
         with pytest.raises(ValidationError):
             coverage_table(designs=["A"], n_reps=5, workers=0)
+        for kwargs, message in (
+            ({"designs": ["A", "G", "A"]}, r"each design may appear once, repeated: \['A'\]"),
+            ({"designs": ["A"], "periods_list": [1, 2, 1]},
+             r"each period count may appear once, repeated: \[1\]"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                coverage_table(n_reps=5, **kwargs)
 
     @pytest.mark.parametrize("empty", ["designs", "periods_list"])
     def test_only_none_takes_the_default(self, empty):

@@ -9,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concate.bands import METHODS, TRUNCATION_METHODS, BandOptions, compute_band
 from concate.concentration import BernsteinConstants, Truncation, _mean_bounds
 from concate.errors import ConcateError, DegenerateArmError
 from concate.estimators import GroupStats, split_arms
-from concate.manski import SupportBounds
+from concate.manski import SupportBounds, wald_interval
 from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
 from concate.panel import PanelDataset, PanelSchema, _load_columns, _load_rows
 from delta_oracle import bound_gradients, endpoint_se, sampling_covariance
@@ -317,6 +317,24 @@ def test_mean_bound_follows_the_pass_over_a_non_finite_arm(arm):
 
 @PROPERTY_SETTINGS
 @given(
+    st.lists(
+        st.tuples(*[st.floats(-1e6, 1e6)] * 2, *[st.floats(0.0, 1e3)] * 2),
+        min_size=1, max_size=8,
+    ),
+    st.floats(1e-6, 0.999),
+)
+def test_wald_interval_on_arrays_equals_its_float_calls_row_by_row(rows, alpha_u):
+    # the look bands call it with floats, the coverage kernel with (B,) arrays
+    lower, upper, se_lower, se_upper = (np.array(col) for col in zip(*rows))
+    band_lower, band_upper, z = wald_interval(lower, upper, se_lower, se_upper, alpha_u)
+    for i, row in enumerate(rows):
+        want = wald_interval(*row, alpha_u)
+        assert all(type(end) is float for end in want)
+        assert repr((float(band_lower[i]), float(band_upper[i]), z)) == repr(want)
+
+
+@PROPERTY_SETTINGS
+@given(
     st.integers(0, 200).flatmap(lambda bits: st.integers(0, 2**bits)),
     st.sampled_from(MC_DESIGNS),
     st.integers(1, 2**40),
@@ -325,11 +343,15 @@ def test_mean_bound_follows_the_pass_over_a_non_finite_arm(arm):
     st.integers(1, 5),
     st.integers(0, 999),
 )
+@example(0, "A", 50, 1, 0, 3, 0)
+@example(2**128 - 1, "F", 50, 2, 7, 3, 1)
+@example(2**128, "G", 50, 5, 7, 3, 2)
+@example(7, "C", 2**32, 1, 0, 3, 0)
 def test_block_states_equal_seed_sequence_row_for_row(
     base_seed, design, n_units, periods, first, rows, attempt
 ):
     # entropy of 1 to 7 words (more than the pool's 4 changes the mixing
-    # loop); n_units and periods past 2**32 take two words of the spawn key
+    # loop); n_units and periods from 2**32 take two words of the spawn key
     spec = DgpSpec(design=design, n_units=n_units, periods=periods)
     reps = np.arange(first, first + rows, dtype=np.uint32)
     states = _replication_seeds(base_seed, spec).states(reps, attempt)
