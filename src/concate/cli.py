@@ -59,7 +59,7 @@ def _metadata(command: str, config: dict, seed: int | None = None, rng: str | No
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _fmt(value: float | None) -> str:

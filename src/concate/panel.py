@@ -16,6 +16,7 @@ header.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -414,21 +415,35 @@ def assign_treatment(panel: PanelDataset, threshold: float) -> np.ndarray:
     return panel.signal >= threshold
 
 
+def _centred(x: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """The mean of ``x`` and its deviations as ``d · 2**k``, max |d| in [0.5, 1).
+    ``x`` is scaled by a power of two before it is centred, and the deviations
+    after, both exact in binary floating point: moments of ``d`` neither overflow
+    nor underflow, and at unit scale equal the unscaled moments bit for bit."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    u = np.ldexp(x, -e)
+    mean = float(u.mean())
+    d = u - mean
+    k = math.frexp(float(np.abs(d).max()))[1]
+    return math.ldexp(mean, e), np.ldexp(d, -k), e + k
+
+
 def summary_stats(values: np.ndarray) -> SummaryStats:
     """Descriptive statistics for one variable.
 
     Skewness is the biased moment ratio m3 / m2**1.5 and kurtosis is the
     excess version m4 / m2**2 - 3, so a normal sample gives values near 0.
+    All are exact under rescaling of the values by a power of two (:func:`_centred`).
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValidationError("summary statistics need at least one observation")
     n = x.size
-    mean = float(x.mean())
-    sd = float(x.std(ddof=1)) if n >= 2 else None
-    skew = kurt = None
+    mean, d, k = _centred(x)
+    sd = skew = kurt = None
+    with contextlib.suppress(OverflowError):  # an sd beyond the float range stays None
+        sd = math.ldexp(math.sqrt(float((d**2).sum()) / (n - 1)), k) if n >= 2 else None
     if n >= 3:
-        d = x - mean
         m2 = float((d**2).mean())
         if m2 > 0.0:
             skew = float((d**3).mean()) / m2**1.5
@@ -446,8 +461,7 @@ def summary_stats(values: np.ndarray) -> SummaryStats:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    dx = x - x.mean()
-    dy = y - y.mean()
+    (_, dx, _), (_, dy, _) = _centred(x), _centred(y)
     sx = float(dx @ dx)
     sy = float(dy @ dy)
     if sx <= 0.0 or sy <= 0.0:
@@ -500,15 +514,14 @@ def _discordant(lx: np.ndarray, ly: np.ndarray, size: int, ends: np.ndarray) -> 
     return counts[1:]
 
 
-def _rolling_kendall(panel: PanelDataset, window: int) -> list[float | None]:
-    """scipy's tau-b of each run of ``window`` periods, bit for bit: each
-    window's discordant and tied pairs slide from the last window's."""
-    order = np.argsort(panel.time, kind="stable")
+def _rolling_kendall(panel: PanelDataset, window: int,
+                     order: np.ndarray, bounds: np.ndarray) -> list[float | None]:
+    """scipy's tau-b of each run of ``window`` periods, bit for bit: each window's discordant
+    and tied pairs slide from the last's.  Period p is rows ``order[bounds[p]:bounds[p + 1]]``."""
     # Dense ranks: equal values, -0.0 and 0.0 too, share one.
     rx, ry = (np.unique(v, return_inverse=True)[1][order] for v in (panel.signal, panel.outcome))
     rxy = np.unique(rx * (int(ry.max()) + 1) + ry, return_inverse=True)[1]
-    _, period, sizes = np.unique(panel.time, return_inverse=True, return_counts=True)
-    period, bounds, periods = period[order], np.concatenate(([0], sizes.cumsum())), sizes.size
+    period, periods = np.repeat(np.arange(bounds.size - 1), np.diff(bounds)), bounds.size - 1
     # Discordant pairs of each period with itself and the later (first) or
     # the earlier (last) periods less than ``window`` apart.
     first, last = np.zeros(periods, np.int64), np.zeros(periods, np.int64)
@@ -568,27 +581,28 @@ def rolling_correlation(
 
     Each window spans ``window`` consecutive distinct time indices and pools
     every observation (all units) inside it.  Returns (window-end time, value)
-    pairs; a window whose signal or outcome is constant yields None.  Kendall
-    correlations use the tie-corrected tau-b statistic, equal bit for bit to
-    scipy's ``kendalltau``.  All windows of W periods, N rows and m rows
-    per period share one count in O(N·(√M + W·m/M)) time, M = min(m, 4096).
-    With 10,000 or more rows per period and few windows, scipy's merge
-    count per window, once imported, is up to about 10x faster.
+    pairs; a window whose signal or outcome is constant yields None.  Each window
+    is a slice of one time-sorted copy of the rows.  Pearson sums the slice, O(N·W)
+    for N rows and W periods a window, exact under power-of-two rescaling.  Kendall's
+    tau-b equals scipy's ``kendalltau`` bit for bit, in one count for all windows in
+    O(N·(√M + W·m/M)), m rows a period, M = min(m, 4096); with 10,000 or more rows a
+    period and few windows, scipy's per-window merge count is up to about 10x faster.
     """
     if kind not in ("pearson", "kendall"):
         raise ValidationError(f"correlation kind must be 'pearson' or 'kendall', got {kind!r}")
-    ts = panel.times()
     if window < 2:
         raise ValidationError(f"window must be at least 2, got {window}")
+    order = np.argsort(panel.time, kind="stable")
+    t = panel.time[order]
+    bounds = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1], [True])))
+    ts = t[bounds[:-1]]
     if window > ts.size:
         raise ValidationError(
             f"window {window} exceeds the {ts.size} distinct time indices in the panel"
         )
     if kind == "kendall":
-        return [(int(t), tau) for t, tau in zip(ts[window - 1 :], _rolling_kendall(panel, window))]
-    out: list[tuple[int, float | None]] = []
-    for j in range(window - 1, ts.size):
-        lo, hi = ts[j - window + 1], ts[j]
-        mask = (panel.time >= lo) & (panel.time <= hi)
-        out.append((int(ts[j]), _pearson(panel.signal[mask], panel.outcome[mask])))
-    return out
+        values = _rolling_kendall(panel, window, order, bounds)
+    else:
+        x, y = panel.signal[order], panel.outcome[order]
+        values = [_pearson(x[a:b], y[a:b]) for a, b in zip(bounds[:-window], bounds[window:])]
+    return [(int(end), value) for end, value in zip(ts[window - 1 :], values)]

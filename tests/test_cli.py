@@ -999,6 +999,64 @@ class TestFileErrors:
         assert err.count("\n") == 1
 
 
+def strict_json(path):
+    """A report parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def scale_panel_csv(tmp_path, scale):
+    """60 units over 3 periods whose outcome is ±(signal / 100 + U(0, 1))
+    times ``scale``, written with every digit."""
+    rng = np.random.default_rng(0)
+    signal = rng.uniform(0.0, 100.0, 180).round(2)
+    outcome = (signal / 100.0 + rng.uniform(0.0, 1.0, 180)) * rng.choice([-1.0, 1.0], 180)
+    path = tmp_path / f"scale_{scale:g}.csv"
+    path.write_text("unit_id,time,outcome,signal\n" + "".join(
+        f"u{i // 3},{i % 3 + 1},{y * scale!r},{x!r}\n"
+        for i, (y, x) in enumerate(zip(outcome.tolist(), signal.tolist()))
+    ))
+    return str(path)
+
+
+class TestJsonReports:
+    """Every report is strict JSON: what cannot be computed is null."""
+
+    @pytest.mark.parametrize("command", ["describe", "bounds", "scan", "simulate"])
+    def test_demo_reports_are_strict_json(self, tmp_path, capsys, command):
+        path, out = demo_csv(tmp_path), tmp_path / "report.json"
+        argv = {
+            "describe": ["describe", path, "--rolling", str(tmp_path / "rolling.csv")],
+            "bounds": ["bounds", path, "--tau", "55"],
+            "scan": ["scan", path],
+            "simulate": ["simulate", "--dgp", "A,F", "--T", "1,2", "--reps", "20",
+                         "--out", str(tmp_path / "coverage.csv")],
+        }[command]
+        assert main(argv + ["--json", str(out)]) == 0
+        capsys.readouterr()
+        assert strict_json(out)["metadata"]["command"] == command
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_describe_far_from_unit_scale(self, tmp_path, capsys, scale):
+        """The outcome's sum of squares would overflow (1e200) or vanish
+        (1e-200) unless the statistics rescale it."""
+        out, rolling = tmp_path / "report.json", tmp_path / "rolling.csv"
+        path = scale_panel_csv(tmp_path, scale)
+        assert main(["describe", path, "--json", str(out), "--rolling", str(rolling)]) == 0
+        capsys.readouterr()
+        got = strict_json(out)["variables"]["outcome"]
+        want = summary_stats(load_csv(scale_panel_csv(tmp_path, 1.0)).outcome)
+        assert got["sd"] == pytest.approx(want.sd * scale, rel=1e-12)
+        for name in ("skewness", "kurtosis"):
+            assert got[name] == pytest.approx(getattr(want, name), rel=1e-12)
+        unit = rolling_correlation(load_csv(scale_panel_csv(tmp_path, 1.0)), 2)
+        rows = [line.split(",") for line in rolling.read_text().splitlines()[1:]]
+        assert [int(t) for t, _, _ in rows] == [t for t, _ in unit]
+        assert [r for _, r, _ in rows] == [f"{u:.10g}" for _, u in unit]
+
+
 class TestUnusableBands:
     """A band with a non-finite end, or Bernstein terms that overflow a
     float, is never reported: ``bounds`` fails with one error line and

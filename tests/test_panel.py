@@ -483,6 +483,10 @@ class TestSummaryStats:
         s = summary_stats(x)
         assert abs(s.kurtosis - (-1.2)) < 0.05
 
+    def test_sd_beyond_the_float_range_is_none(self):
+        s = summary_stats(np.array([-1.7e308, 1.7e308]))
+        assert (s.mean, s.sd, s.skewness, s.kurtosis) == (0.0, None, None, None)
+
 
 def scipy_rolling_kendall(panel, window):
     """tau-b window by window, as scipy gives it; None for its NaN."""
@@ -492,6 +496,22 @@ def scipy_rolling_kendall(panel, window):
         mask = (panel.time >= ts[j - window + 1]) & (panel.time <= ts[j])
         tau = sps.kendalltau(panel.signal[mask], panel.outcome[mask]).statistic
         out.append((int(ts[j]), None if math.isnan(tau) else tau))
+    return out
+
+
+def mask_rolling_pearson(panel, window):
+    """Pearson window by window from a mask over the whole panel, summing
+    the rows in panel order and without rescaling, as rolling_correlation
+    once computed it; None where either column's sum of squares is 0."""
+    ts = panel.times()
+    out = []
+    for j in range(window - 1, ts.size):
+        mask = (panel.time >= ts[j - window + 1]) & (panel.time <= ts[j])
+        x, y = panel.signal[mask], panel.outcome[mask]
+        dx, dy = x - x.mean(), y - y.mean()
+        sx, sy = float(dx @ dx), float(dy @ dy)
+        r = None if sx <= 0.0 or sy <= 0.0 else float(dx @ dy) / math.sqrt(sx * sy)
+        out.append((int(ts[j]), r))
     return out
 
 
@@ -543,6 +563,34 @@ class TestRollingCorrelation:
         assert sizes[0] > panel_module._ANCHOR_ROWS
         for window in (2, 3, 4):
             assert_same_kendall(panel, window)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_panels())
+    def test_pearson_equals_the_per_window_mask(self, drawn):
+        """Bit for bit on a panel already sorted by time, where both sum each
+        window in the same order; within 1e-12 otherwise."""
+        panel, window = drawn
+        order = np.argsort(panel.time, kind="stable")
+        in_time = small_panel(panel.signal[order], outcome=panel.outcome[order],
+                              time=panel.time[order])
+        assert rolling_correlation(in_time, window) == mask_rolling_pearson(in_time, window)
+        got, want = rolling_correlation(panel, window), mask_rolling_pearson(panel, window)
+        assert [(t, r is None) for t, r in got] == [(t, r is None) for t, r in want]
+        assert all(r is None or abs(r - w) <= 1e-12 for (_, r), (_, w) in zip(got, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_panels(), st.sampled_from([-900, -300, 300, 900]))
+    def test_exact_under_power_of_two_rescaling_of_the_outcome(self, drawn, k):
+        """At 2**±900 the outcome's sum of squares would overflow or vanish."""
+        panel, window = drawn
+        scaled = small_panel(panel.signal, outcome=np.ldexp(panel.outcome, k), time=panel.time)
+        for kind in ("pearson", "kendall"):
+            assert rolling_correlation(scaled, window, kind) == rolling_correlation(panel, window, kind)
+        s, s0 = summary_stats(scaled.outcome), summary_stats(panel.outcome)
+        assert (s.skewness, s.kurtosis) == (s0.skewness, s0.kurtosis)
+        assert s.sd == (None if s0.sd is None else math.ldexp(s0.sd, k))
+        location = (s.minimum, s.mean, s.median, s.maximum)
+        assert location == tuple(math.ldexp(v, k) for v in (s0.minimum, s0.mean, s0.median, s0.maximum))
 
     def test_perfect_linear_relation(self):
         time = np.repeat(np.arange(1, 7), 3)
