@@ -17,10 +17,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigurationError, DataError, ValidationError
 from .estimators import VARIANCE_MODES, GroupStats
 from .manski import BandResult, Paddings, SupportBounds, manski_region
-from .stats import long_run_variance
 
 
 def _finite(name: str, value: object) -> float:
@@ -385,6 +386,24 @@ def _iid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandRe
         t_mean_control=bernstein_tmu_iid(alpha_u, stats.n_control, m0, options.c_abs),
     )
     return _padded_band(stats, "iid", alpha_u, options.truncation, paddings)
+
+
+def long_run_variance(values: np.ndarray) -> float:
+    """Truncated-autocovariance (Newey-West) long-run variance estimate.
+
+    Bartlett weights with lag window ceil(n ** (1/3)); the input order, of at
+    least 2 observations, is taken as the serial order of the observations.
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    d = x - x.mean()
+    lag = math.ceil(n ** (1.0 / 3.0))
+    lag = min(lag, n - 1)
+    v = float(d @ d) / n
+    for j in range(1, lag + 1):
+        gamma_j = float(d[j:] @ d[:-j]) / n
+        v += 2.0 * (1.0 - j / (lag + 1.0)) * gamma_j
+    return max(v, 0.0)
 
 
 def _mixing_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:

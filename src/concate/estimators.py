@@ -63,16 +63,20 @@ class GroupStats:
         return self.n_treated == 0 or self.n_control == 0
 
 
-def _arm(values: np.ndarray) -> tuple[float, float, float, float]:
+def _arm(values: np.ndarray, name: str) -> tuple[float, float, float, float]:
     if values.size == 0:
         return math.nan, math.nan, math.nan, math.nan
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{name} outcomes must be finite, got range [{lo}, {hi}]")
     mean = float(values.mean())
     var = float(values.var(ddof=1)) if values.size >= 2 else math.nan
-    return mean, var, float(values.min()), float(values.max())
+    return mean, var, lo, hi
 
 
 def split_arms(outcome: np.ndarray, treated: np.ndarray) -> GroupStats:
-    """Build :class:`GroupStats` from raw outcome and treatment arrays."""
+    """Build :class:`GroupStats` from raw outcome and treatment arrays.  The one
+    check of the outcome: a NaN or infinite value raises ValidationError."""
     y = np.asarray(outcome, dtype=float)
     z = np.asarray(treated, dtype=bool)
     if y.shape != z.shape:
@@ -86,8 +90,8 @@ def split_arms(outcome: np.ndarray, treated: np.ndarray) -> GroupStats:
     y0 = y.take(np.flatnonzero(~z))
     n1, n0 = y1.size, y0.size
     n = n1 + n0
-    mean1, var1, min1, max1 = _arm(y1)
-    mean0, var0, min0, max0 = _arm(y0)
+    mean1, var1, min1, max1 = _arm(y1, "treated")
+    mean0, var0, min0, max0 = _arm(y0, "control")
     return GroupStats(
         n_treated=n1,
         n_control=n0,

@@ -14,14 +14,15 @@ result type of every band method, and :class:`Paddings` what it pads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigurationError
 from .estimators import GroupStats, _order_statistic
-from .stats import norm_ppf
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -33,16 +34,6 @@ class SupportBounds:
     lower_control: float
     upper_control: float
     source: str
-
-    def __post_init__(self) -> None:
-        for lo, hi, arm in (
-            (self.lower_treated, self.upper_treated, "treated"),
-            (self.lower_control, self.upper_control, "control"),
-        ):
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValidationError(f"{arm} support is undefined (NaN)")
-            if lo > hi:
-                raise ValidationError(f"{arm} support has lower {lo} > upper {hi}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +159,19 @@ def delta_method_interval(mean1, mean0, n1, n0, var1, var0, lower1, upper1, lowe
         np.sqrt(mean_terms + share_var * (g_lower * g_lower)),
         np.sqrt(mean_terms + share_var * (g_upper * g_upper)),
     )
+
+
+def norm_ppf(p: float) -> float:
+    """Standard normal quantile function.
+
+    Backed by a rational approximation (Wichura's AS241 via the stdlib)
+    accurate well beyond 1e-9 absolute; see tests for the oracle check.
+    A level outside (0, 1), such as 1 - alpha / 2 once alpha is below about
+    1e-16 and it rounds to 1, raises ConfigurationError.
+    """
+    if not 0.0 < p < 1.0:
+        raise ConfigurationError(f"normal quantile needs a level p in (0, 1), got {p!r}")
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def wald_interval(lower, upper, se_lower, se_upper, alpha_u):

@@ -40,6 +40,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -380,11 +381,6 @@ def run_cell(
     )
 
 
-def _run_cell_task(args: tuple) -> CellCoverage:
-    spec, n_reps, alpha, base_seed, manski_variant = args
-    return run_cell(spec, n_reps, alpha, base_seed, manski_variant)
-
-
 def coverage_table(
     designs: list[str] | None = None,
     n_units: int = 50,
@@ -412,19 +408,18 @@ def coverage_table(
             raise ValidationError(f"each {name} may appear once, repeated: {repeats}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
-    tasks = [
-        (DgpSpec(design=design, n_units=n_units, periods=periods), n_reps, alpha, base_seed, manski_variant)
-        for design in designs
-        for periods in periods_list
-    ]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    specs = [DgpSpec(design=design, n_units=n_units, periods=periods)
+             for design in designs for periods in periods_list]
+    task = partial(run_cell, n_reps=n_reps, alpha=alpha, base_seed=base_seed,
+                   manski_variant=manski_variant)
+    workers = min(workers, len(specs), os.cpu_count() or 1)
     if workers == 1:
-        return [_run_cell_task(task) for task in tasks]
+        return [task(spec) for spec in specs]
     # Imported here: multiprocessing is not needed by a serial run or by the CLI's import.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell_task, tasks))
+        return list(pool.map(task, specs))
 
 
 def write_coverage_csv(cells: list[CellCoverage], path: str | Path) -> None:

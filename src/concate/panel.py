@@ -419,8 +419,12 @@ def _centred(x: np.ndarray) -> tuple[float, np.ndarray, int]:
     """The mean of ``x`` and its deviations as ``d · 2**k``, max |d| in [0.5, 1).
     ``x`` is scaled by a power of two before it is centred, and the deviations
     after, both exact in binary floating point: moments of ``d`` neither overflow
-    nor underflow, and at unit scale equal the unscaled moments bit for bit."""
-    e = math.frexp(float(np.abs(x).max()))[1]
+    nor underflow, and at unit scale equal the unscaled moments bit for bit.
+    A constant ``x`` is its own mean, with zero deviations."""
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        return lo, np.zeros_like(x), 0
+    e = math.frexp(max(-lo, hi))[1]  # the exponent of max |x|
     u = np.ldexp(x, -e)
     mean = float(u.mean())
     d = u - mean

@@ -1,6 +1,7 @@
 """Tests for arm statistics, order-statistic quantiles, and the naive estimate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from concate.estimators import (
     group_stats,
     split_arms,
 )
+from concate.manski import norm_ppf
 from concate.panel import PanelDataset, assign_treatment
-from concate.stats import norm_ppf
 
 
 def stats_from(treated_values, control_values):
@@ -67,6 +68,17 @@ class TestSplitArms:
     def test_empty_sample(self):
         with pytest.raises(ValidationError):
             split_arms(np.array([]), np.array([], dtype=bool))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arm", ["treated", "control"])
+    def test_non_finite_outcome_is_rejected_before_any_statistic(self, bad, arm):
+        # the one check of the outcome: every band's supports come from these extrema
+        y = np.array([1.0, 2.0, 3.0, 4.0, bad, 5.0])
+        z = np.array([True, True, False, False, arm == "treated", True])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{arm} outcomes must be finite"):
+                split_arms(y, z)
 
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(12)

@@ -12,8 +12,7 @@ from concate.concentration import Truncation
 from concate.errors import ConcateError, DataError, DegenerateArmError, ValidationError
 from concate.estimators import split_arms
 from concate.montecarlo import MC_DESIGNS
-from concate.manski import extrema_support, manski_region
-from concate.stats import norm_ppf
+from concate.manski import extrema_support, manski_region, norm_ppf
 from delta_oracle import bound_gradients, sampling_covariance
 
 

@@ -1,12 +1,10 @@
 """Tests for the plug-in identification region and its delta-method band."""
 
-import math
-
 import numpy as np
 import pytest
 
 from concate.bands import compute_band
-from concate.errors import DegenerateArmError, ValidationError
+from concate.errors import DegenerateArmError
 from concate.estimators import split_arms
 from concate.manski import (
     SupportBounds,
@@ -94,12 +92,6 @@ class TestSupports:
         assert sup.lower_treated == sup.lower_control == -5.0
         assert sup.upper_treated == sup.upper_control == 5.0
         assert sup.source == "known"
-
-    def test_support_validation(self):
-        with pytest.raises(ValidationError):
-            known_support(2.0, -2.0)
-        with pytest.raises(ValidationError):
-            SupportBounds(math.nan, 1.0, 0.0, 1.0, source="known")
 
 
 class TestManskiRegion:

@@ -11,7 +11,7 @@ from scipy import stats as sps
 from concate import montecarlo
 from concate.errors import ConfigurationError, ValidationError
 from concate.estimators import split_arms
-from concate.manski import known_support, manski_region
+from concate.manski import known_support, manski_region, norm_ppf
 from concate.montecarlo import (
     AR_RHO,
     BLOCK_ELEMENTS,
@@ -38,7 +38,6 @@ from concate.montecarlo import (
     write_coverage_csv,
 )
 from concate.seedseq import FixedState, SpawnKeys
-from concate.stats import norm_ppf
 from delta_oracle import bound_gradients, sampling_covariance
 
 BIG = 200_000

@@ -454,6 +454,15 @@ class TestSummaryStats:
         assert s.skewness is None
         assert s.kurtosis is None
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 1000])
+    @pytest.mark.parametrize("value", [0.1, -0.3, 1e-300, 7.7e200])
+    def test_constant_sample_is_its_own_mean_with_no_spread(self, n, value):
+        # n copies of 0.1 sum to an n * 0.1 whose quotient by n rounds above 0.1
+        s = summary_stats(np.full(n, value))
+        assert s.minimum == s.mean == s.maximum == value
+        assert s.sd == 0.0
+        assert s.skewness is None and s.kurtosis is None
+
     def test_small_samples_leave_higher_moments_unset(self):
         s1 = summary_stats(np.array([5.0]))
         assert s1.sd is None and s1.skewness is None
@@ -502,7 +511,8 @@ def scipy_rolling_kendall(panel, window):
 def mask_rolling_pearson(panel, window):
     """Pearson window by window from a mask over the whole panel, summing
     the rows in panel order and without rescaling, as rolling_correlation
-    once computed it; None where either column's sum of squares is 0."""
+    once computed it; None where either column is constant or its sum of
+    squares is 0."""
     ts = panel.times()
     out = []
     for j in range(window - 1, ts.size):
@@ -510,7 +520,8 @@ def mask_rolling_pearson(panel, window):
         x, y = panel.signal[mask], panel.outcome[mask]
         dx, dy = x - x.mean(), y - y.mean()
         sx, sy = float(dx @ dx), float(dy @ dy)
-        r = None if sx <= 0.0 or sy <= 0.0 else float(dx @ dy) / math.sqrt(sx * sy)
+        constant = x.min() == x.max() or y.min() == y.max()
+        r = None if constant or sx <= 0.0 or sy <= 0.0 else float(dx @ dy) / math.sqrt(sx * sy)
         out.append((int(ts[j]), r))
     return out
 
@@ -652,6 +663,12 @@ class TestRollingCorrelation:
         panel = small_panel([50.0, 50.0, 50.0, 50.0], outcome=[1.0, 2.0, 3.0, 4.0], time=time)
         out = rolling_correlation(panel, window=2)
         assert out == [(2, None)]
+
+    def test_constant_signal_window_with_an_inexact_mean_yields_none(self):
+        # three copies of 0.1 average to 0.10000000000000002, which is no spread
+        panel = small_panel([0.1, 0.1, 0.1], outcome=[1.0, 2.0, 4.0], time=[1, 1, 2])
+        assert rolling_correlation(panel, window=2) == [(2, None)]
+        assert rolling_correlation(panel, window=2, kind="kendall") == [(2, None)]
 
     def test_window_count(self):
         time = np.repeat(np.arange(1, 9), 2)

@@ -306,10 +306,12 @@ def test_mean_bound_is_exact_when_the_mean_rounds_outside_the_arm():
      [-1e308, -1e308, 5.0]],
 )
 def test_mean_bound_follows_the_pass_over_a_non_finite_arm(arm):
-    # an infinite mean makes one extremum's difference NaN, and so every |y - mean| pass
+    # an infinite mean makes one extremum's difference NaN, and so every |y - mean| pass;
+    # split_arms rejects a non-finite outcome, so those arms are built by hand
     y = np.array(arm + [0.0, 2.0])
+    split = split_arms if np.isfinite(arm).all() else eager_split
     with np.errstate(invalid="ignore", over="ignore"):
-        stats = split_arms(y, np.arange(y.size) < len(arm))
+        stats = split(y, np.arange(y.size) < len(arm))
         want = float(np.max(np.abs(stats.treated_serial - stats.mean_treated)))
     m1, _ = _mean_bounds(stats, BandOptions())
     assert repr(m1) == repr(want)

@@ -5,7 +5,8 @@ import pytest
 from scipy import stats as sps
 
 from concate.errors import ValidationError
-from concate.stats import long_run_variance, norm_ppf
+from concate.concentration import long_run_variance
+from concate.manski import norm_ppf
 
 
 def brute_force_long_run_variance(values):
