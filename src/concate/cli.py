@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from . import __version__
@@ -64,6 +64,17 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.10g}"
+
+
+def _comma_list(text: str, convert, flag: str, kind: str) -> list:
+    """The non-blank entries of a comma-separated flag, each through ``convert``."""
+    try:
+        values = [convert(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated {kind}, got {text!r}") from None
+    if not values:
+        raise ValidationError(f"{flag} produced an empty list")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +209,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
         "signal": summary_stats(panel.signal),
     }
     header = ["variable", "n", "min", "mean", "median", "max", "sd", "skewness", "kurtosis"]
-    rows = [
-        [
-            name,
-            str(s.n),
-            _fmt(s.minimum),
-            _fmt(s.mean),
-            _fmt(s.median),
-            _fmt(s.maximum),
-            _fmt(s.sd),
-            _fmt(s.skewness),
-            _fmt(s.kurtosis),
-        ]
-        for name, s in variables.items()
-    ]
+    rows = [[name, str(s.n), *map(_fmt, astuple(s)[1:])] for name, s in variables.items()]
     if args.out:
         with Path(args.out).open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -314,24 +312,12 @@ def _write_scan_csv(result: ScanResult, path: str) -> None:
             ]
         )
         for row in result.rows:
-            if row.band is None:
-                writer.writerow(
-                    [f"{row.tau:g}", row.n_control, row.n_treated, "", "", "", "", "", "true"]
-                )
-            else:
-                writer.writerow(
-                    [
-                        f"{row.tau:g}",
-                        row.n_control,
-                        row.n_treated,
-                        _fmt(row.band.region_lower),
-                        _fmt(row.band.region_upper),
-                        _fmt(row.band.band_lower),
-                        _fmt(row.band.band_upper),
-                        "true" if row.band.excludes_zero else "false",
-                        "false",
-                    ]
-                )
+            band, cells = row.band, [""] * 5
+            if band is not None:
+                cells = [_fmt(band.region_lower), _fmt(band.region_upper), _fmt(band.band_lower),
+                         _fmt(band.band_upper), "true" if band.excludes_zero else "false"]
+            writer.writerow([f"{row.tau:g}", row.n_control, row.n_treated, *cells,
+                             "true" if band is None else "false"])
 
 
 def _scan_payload(result: ScanResult) -> dict:
@@ -365,12 +351,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     grid = ThresholdGrid.from_spec(args.grid)
     schedule = None
     if args.alpha_schedule is not None:
-        try:
-            schedule = [float(x) for x in args.alpha_schedule.split(",")]
-        except ValueError:
-            raise ValidationError(
-                f"--alpha-schedule must be comma-separated numbers, got {args.alpha_schedule!r}"
-            ) from None
+        schedule = _comma_list(args.alpha_schedule, float, "--alpha-schedule", "numbers")
     resolved.update({"grid": args.grid, "min_group": args.min_group, "schedule": schedule})
     panel = _load_panel(args)
     result = scan(
@@ -414,15 +395,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.dgp.strip().lower() == "all":
         designs = list(MC_DESIGNS)
     else:
-        designs = [d.strip().upper() for d in args.dgp.split(",") if d.strip()]
-    if not designs:
-        raise ValidationError("--dgp produced an empty list")
-    try:
-        periods_list = [int(t) for t in args.T.split(",") if t.strip()]
-    except ValueError:
-        raise ValidationError(f"--T must be comma-separated integers, got {args.T!r}") from None
-    if not periods_list:
-        raise ValidationError("--T produced an empty list")
+        designs = _comma_list(args.dgp, lambda d: d.strip().upper(), "--dgp", "designs")
+    periods_list = _comma_list(args.T, int, "--T", "integers")
     cells = coverage_table(
         designs=designs,
         n_units=args.n,

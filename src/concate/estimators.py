@@ -20,10 +20,8 @@ class GroupStats:
 
     ``treated_serial`` / ``control_serial`` are the arms themselves, in
     panel order (serial-dependence-aware variances read that order).
-    ``treated_sorted`` / ``control_sorted`` are their order statistics, sorted
-    on first access and kept in the instance dict without a lock, so threads
-    sort their own looks in parallel.  Variances use the n-1 denominator and
-    are NaN below two observations; extrema are NaN for an empty arm.
+    Variances use the n-1 denominator and are NaN below two observations;
+    extrema are NaN for an empty arm.
     """
 
     n_treated: int
@@ -40,18 +38,6 @@ class GroupStats:
     max_control: float
     treated_serial: np.ndarray
     control_serial: np.ndarray
-
-    @property
-    def treated_sorted(self) -> np.ndarray:
-        if (cached := self.__dict__.get("_treated_sorted")) is None:
-            cached = self.__dict__["_treated_sorted"] = np.sort(self.treated_serial)
-        return cached
-
-    @property
-    def control_sorted(self) -> np.ndarray:
-        if (cached := self.__dict__.get("_control_sorted")) is None:
-            cached = self.__dict__["_control_sorted"] = np.sort(self.control_serial)
-        return cached
 
     @property
     def n(self) -> int:
@@ -116,8 +102,8 @@ def group_stats(panel: PanelDataset, treated: np.ndarray) -> GroupStats:
 
 
 def _order_statistic(x: np.ndarray, p: float) -> float:
-    """Empirical quantile, 0 < p < 1, of a non-empty ascending array such as
-    ``GroupStats.treated_sorted``: its ceil(p * n)-th smallest value (1-indexed)."""
+    """Empirical quantile, 0 < p < 1, of a non-empty ascending array: its
+    ceil(p * n)-th smallest value (1-indexed)."""
     k = p * x.size
     nearest = round(k)
     # guard against float fuzz when p * n is an exact integer mathematically

@@ -106,11 +106,12 @@ def trimmed_support(stats: GroupStats, p: float) -> SupportBounds:
     :func:`concate.estimators._order_statistic`.  Both arms must be
     non-empty, as :func:`concate.bands.compute_band` checks.
     """
+    treated, control = np.sort(stats.treated_serial), np.sort(stats.control_serial)
     return SupportBounds(
-        lower_treated=_order_statistic(stats.treated_sorted, p),
-        upper_treated=_order_statistic(stats.treated_sorted, 1.0 - p),
-        lower_control=_order_statistic(stats.control_sorted, p),
-        upper_control=_order_statistic(stats.control_sorted, 1.0 - p),
+        lower_treated=_order_statistic(treated, p),
+        upper_treated=_order_statistic(treated, 1.0 - p),
+        lower_control=_order_statistic(control, p),
+        upper_control=_order_statistic(control, 1.0 - p),
         source=f"trimmed-{p:g}",
     )
 

@@ -31,7 +31,13 @@ from concate.errors import (
     ValidationError,
 )
 from concate.estimators import group_stats, split_arms
-from concate.panel import assign_treatment, load_csv, rolling_correlation, summary_stats
+from concate.panel import (
+    SummaryStats,
+    assign_treatment,
+    load_csv,
+    rolling_correlation,
+    summary_stats,
+)
 
 SMALL = """unit_id,time,outcome,signal
 u1,1,2.0,10
@@ -87,6 +93,14 @@ class TestDescribe:
                                             stats.maximum, stats.sd, stats.skewness,
                                             stats.kurtosis)):
             assert abs(float(text) - value) < 1e-8 * max(1.0, abs(value))
+
+    def test_header_lists_the_summary_fields_in_declaration_order(self, tmp_path, capsys):
+        assert main(["describe", write(tmp_path, SMALL)]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split(",")
+        names = [f.name for f in dataclasses.fields(SummaryStats)]
+        # each column abbreviates its field ("min" for "minimum"), one for one
+        assert header[0] == "variable" and len(header) == 1 + len(names)
+        assert all(name.startswith(column) for column, name in zip(header[1:], names))
 
     def test_json_report(self, tmp_path):
         path = demo_csv(tmp_path)
@@ -267,6 +281,19 @@ class TestBounds:
         ])
         assert rc == 0
         assert json.loads(out.read_text())["result"]["support"]["source"] == "known"
+
+    def test_a_negative_limit_in_exponent_form_is_given_with_equals(self, tmp_path):
+        """argparse reads a bare ``-1e3`` as an option; ``=`` attaches it to the flag."""
+        path, reports = demo_csv(tmp_path), []
+        for limit in (["--truncation-lower=-1e3"], ["--truncation-lower", "-1000"]):
+            out = tmp_path / f"bounds{len(reports)}.json"
+            rc = main(["bounds", path, "--tau", "50", "--method", "iid", *limit,
+                       "--json", str(out)])
+            assert rc == 0
+            reports.append(json.loads(out.read_text()))
+        support = reports[0]["result"]["support"]
+        assert support["lower_treated"] == support["lower_control"] == -1000.0
+        assert reports[0] == reports[1]
 
     def test_upper_truncation_alone_is_rejected(self, tmp_path, capsys):
         rc = main(["bounds", demo_csv(tmp_path), "--tau", "40", "--truncation-upper", "20"])
@@ -672,10 +699,24 @@ class TestScan:
 
     def test_bad_schedule_text(self, tmp_path, capsys):
         path = demo_csv(tmp_path)
-        for text in ("0.01,x", ""):
+        for text, message in (("0.01,x", "must be comma-separated numbers"),
+                              ("", "--alpha-schedule produced an empty list")):
             rc = main(["scan", path, "--alpha-schedule", text])
             assert rc == 2
-            assert "must be comma-separated numbers" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+
+    def test_blank_schedule_entries_are_skipped_like_the_other_lists(self, tmp_path):
+        """A trailing comma or an empty entry is read as --dgp and --T read it."""
+        path, reports = demo_csv(tmp_path), []
+        for text in ("0.01,0.04", "0.01,0.04,", "0.01,,0.04", " 0.01 , 0.04 "):
+            out = tmp_path / f"scan{len(reports)}.json"
+            rc = main(["scan", path, "--grid", "30:55:25",
+                       "--alpha-schedule", text, "--json", str(out)])
+            assert rc == 0
+            payload = json.loads(out.read_text())
+            assert [r["alpha_u"] for r in payload["rows"]] == [0.01, 0.04]
+            reports.append(payload)
+        assert all(r == reports[0] for r in reports)
 
     def test_non_finite_schedule_is_a_validation_error(self, tmp_path, capsys):
         path = demo_csv(tmp_path)

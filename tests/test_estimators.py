@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from concate.bands import BandOptions, compute_band
+from concate.bands import METHODS, BandOptions, compute_band
 from concate.datasets import make_tipping_demo_panel
 from concate.errors import DegenerateArmError, ValidationError
 from concate.estimators import (
@@ -45,9 +45,7 @@ class TestSplitArms:
 
     def test_sorted_and_serial_views(self):
         s = stats_from([3.0, 1.0, 2.0], [5.0, 4.0])
-        assert list(s.treated_sorted) == [1.0, 2.0, 3.0]
         assert list(s.treated_serial) == [3.0, 1.0, 2.0]
-        assert list(s.control_sorted) == [4.0, 5.0]
         assert list(s.control_serial) == [5.0, 4.0]
 
     def test_single_observation_arm_has_nan_variance(self):
@@ -113,15 +111,8 @@ class TestLazyOrderStatistics:
         panel = make_tipping_demo_panel()
         return group_stats(panel, assign_treatment(panel, 30.0))
 
-    @pytest.mark.parametrize("method", ["naive", "manski-max", "iid", "mixing", "hybrid"])
-    def test_methods_without_quantiles_never_sort(self, method):
-        stats = self.demo_stats()
-        compute_band(stats, method, 0.01)
-        assert "_treated_sorted" not in vars(stats)
-        assert "_control_sorted" not in vars(stats)
-
-    def test_quantile_methods_sort_each_arm_once(self, monkeypatch):
-        stats = self.demo_stats()
+    @staticmethod
+    def count_sorts(monkeypatch):
         sorts = []
         original = np.sort
 
@@ -130,12 +121,29 @@ class TestLazyOrderStatistics:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "sort", counting_sort)
+        return sorts
+
+    @pytest.mark.parametrize("method", ["naive", "manski-max", "iid", "mixing", "hybrid"])
+    def test_methods_without_quantiles_never_sort(self, method, monkeypatch):
+        stats = self.demo_stats()
+        sorts = self.count_sorts(monkeypatch)
+        compute_band(stats, method, 0.01)
+        assert sorts == []
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_band_writes_to_the_split(self, method):
+        stats = self.demo_stats()
+        before = dict(vars(stats))
+        compute_band(stats, method, 0.01)
+        assert vars(stats).keys() == before.keys()
+        assert all(vars(stats)[name] is value for name, value in before.items())
+
+    def test_quantile_methods_sort_each_arm_once(self, monkeypatch):
+        stats = self.demo_stats()
+        sorts = self.count_sorts(monkeypatch)
         compute_band(stats, "manski-q05", 0.01)
         compute_band(stats, "manski-q10", 0.01)
-        assert len(sorts) == 2
-        assert {id(a) for a in sorts} == {id(stats.treated_serial), id(stats.control_serial)}
-        assert stats.treated_sorted is stats.treated_sorted
-        assert stats.control_sorted is stats.control_sorted
+        assert [id(a) for a in sorts] == [id(stats.treated_serial), id(stats.control_serial)] * 2
 
 
 class TestEmpiricalQuantile:

@@ -32,12 +32,12 @@ def _eager_arm(values):
 
 
 def eager_split(y, z):
-    """The split as first written: boolean indexing and both arms sorted up front."""
+    """The split as first written: each arm copied by boolean indexing."""
     y1, y0 = y[z], y[~z]
     n1, n0 = y1.size, y0.size
     mean1, var1, min1, max1 = _eager_arm(y1)
     mean0, var0, min0, max0 = _eager_arm(y0)
-    stats = GroupStats(
+    return GroupStats(
         n_treated=n1, n_control=n0,
         mean_treated=mean1, mean_control=mean0,
         var_treated=var1, var_control=var0,
@@ -45,8 +45,6 @@ def eager_split(y, z):
         min_treated=min1, max_treated=max1, min_control=min0, max_control=max0,
         treated_serial=y1, control_serial=y0,
     )
-    vars(stats).update(_treated_sorted=np.sort(y1), _control_sorted=np.sort(y0))
-    return stats
 
 
 @st.composite
@@ -87,7 +85,7 @@ def same_bits(a, b):
 def test_split_arms_matches_the_eager_split_bit_for_bit(sample):
     y, z = sample
     got, want = split_arms(y, z), eager_split(y, z)
-    for name in ("treated_serial", "control_serial", "treated_sorted", "control_sorted"):
+    for name in ("treated_serial", "control_serial"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
     for name in (
         "n_treated", "n_control", "mean_treated", "mean_control", "var_treated",
