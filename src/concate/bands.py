@@ -13,8 +13,6 @@ import math
 from dataclasses import replace
 from typing import Callable
 
-import numpy as np
-
 from .concentration import (
     BandOptions,
     _iid_band,
@@ -39,29 +37,14 @@ Builder = Callable[[GroupStats, float, BandOptions], BandResult]
 
 def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
     """Difference in means, widened by :func:`concate.manski.wald_band` at
-    level alpha_u.
+    level alpha_u with the Welch SE sqrt(var1/n1 + var0/n0).
 
-    variance_mode 'welch' uses var1/n1 + var0/n0.  Mode 'contrast' uses the
-    sample variance (n - 1 denominator) of the per-observation weighted
-    contributions y_i * w_i, where w_i is +1/n1 for treated and -1/n0 for
-    control rows, so that the contributions sum to the estimate itself.
-    The region is the point estimate.  Both variances assume independent
+    The region is the point estimate.  The variance assumes independent
     rows: on a serially dependent panel, "excludes zero" is no evidence.
-    Both need two observations per arm, as :func:`compute_band` checks.
+    It needs two observations per arm, as :func:`compute_band` checks.
     """
     delta = stats.mean_treated - stats.mean_control
-    if options.variance_mode == "welch":
-        se = math.sqrt(
-            stats.var_treated / stats.n_treated + stats.var_control / stats.n_control
-        )
-    else:
-        contributions = np.concatenate(
-            [
-                stats.treated_serial / stats.n_treated,
-                -stats.control_serial / stats.n_control,
-            ]
-        )
-        se = math.sqrt(float(np.sum((contributions - delta) ** 2)) / (stats.n - 1))
+    se = math.sqrt(stats.var_treated / stats.n_treated + stats.var_control / stats.n_control)
     return wald_band(stats, "naive", alpha_u, delta, delta, se, se)
 
 

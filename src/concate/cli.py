@@ -22,7 +22,7 @@ from .bands import BandOptions, METHODS, compute_band
 from .charts import render_band_chart
 from .concentration import BernsteinConstants, Truncation
 from .errors import ConcateError, DataError, ValidationError
-from .estimators import VARIANCE_MODES, group_stats
+from .estimators import group_stats
 from .montecarlo import (
     MANSKI_VARIANTS,
     MC_DESIGNS,
@@ -118,7 +118,6 @@ def _add_band_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON file with band options")
     for _, _, flag, help_text in BAND_FLAGS:
         parser.add_argument(flag, type=float, default=None, help=help_text)
-    parser.add_argument("--variance-mode", default=None, choices=VARIANCE_MODES)
 
 
 def _load_panel(args: argparse.Namespace):
@@ -174,8 +173,6 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             sections[section][name] = value
-    if args.variance_mode is not None:
-        knobs["variance_mode"] = args.variance_mode
     truncation = sections["truncation"]
     if truncation.get("upper") is not None and truncation.get("lower") is None:
         if args.truncation_upper is not None:

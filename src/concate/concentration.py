@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ValidationError
-from .estimators import VARIANCE_MODES, GroupStats
+from .estimators import GroupStats
 from .manski import BandResult, Paddings, SupportBounds, manski_region
 
 
@@ -94,8 +94,7 @@ class BandOptions:
     ``mean_bound_treated`` / ``mean_bound_control`` cap the centered
     outcomes per arm; left unset they default to the observed max absolute
     deviation from the arm mean.  ``c_abs`` is the absolute constant of
-    the independent-case Bernstein inequality.  ``variance_mode`` is the
-    naive method's variance (see :data:`concate.estimators.VARIANCE_MODES`).
+    the independent-case Bernstein inequality.
     """
 
     c_alpha: float = 0.0
@@ -104,7 +103,6 @@ class BandOptions:
     mean_bound_control: float | None = None
     bernstein: BernsteinConstants = field(default_factory=BernsteinConstants)
     truncation: Truncation = field(default_factory=Truncation)
-    variance_mode: str = "welch"
 
     def __post_init__(self) -> None:
         if _finite("c_alpha", self.c_alpha) < 0.0:
@@ -115,10 +113,6 @@ class BandOptions:
             value = getattr(self, name)
             if value is not None and _finite(name, value) < 0.0:
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
-        if self.variance_mode not in VARIANCE_MODES:
-            raise ValidationError(
-                f"variance_mode must be one of {VARIANCE_MODES}, got {self.variance_mode!r}"
-            )
 
 
 def dkw_epsilon(

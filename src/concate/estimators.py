@@ -10,10 +10,6 @@ import numpy as np
 from .errors import ValidationError
 from .panel import PanelDataset
 
-#: Variances of the naive method's Wald interval (see ``concate.bands``).
-VARIANCE_MODES = ("welch", "contrast")
-
-
 @dataclass(frozen=True)
 class GroupStats:
     """Sufficient statistics for both treatment arms of one threshold split.

@@ -52,8 +52,10 @@ class PanelSchema:
 class PanelDataset:
     """Column-oriented panel with non-missing outcome and signal throughout.
 
-    ``n_dropped`` counts rows removed listwise during ingestion because the
-    outcome or the signal was missing.
+    Rows are kept in serial order, (unit in order of first appearance,
+    time), whatever order they were given in, so that no band depends on a
+    file's row order.  ``n_dropped`` counts rows removed listwise during
+    ingestion because the outcome or the signal was missing.
     """
 
     unit: np.ndarray
@@ -92,6 +94,10 @@ class PanelDataset:
             row = order[1:][repeats].min()
             key = (self.unit[row], int(self.time[row]))
             raise DataError(f"duplicate (unit_id, time) pair {key}")
+        if not np.array_equal(order, np.arange(n)):
+            for name in ("unit", "time", "outcome", "signal", "group"):
+                if (values := getattr(self, name)) is not None:
+                    setattr(self, name, values[order])
 
     @property
     def n(self) -> int:

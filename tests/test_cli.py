@@ -403,7 +403,7 @@ class TestBandConfig:
             ({"foo": 1}, "has unknown keys: ['foo']"),
             (["--c-abs", "-1"], "c_abs must be positive"),
             ({"mean_bound_treated": -3}, "mean_bound_treated must be nonnegative"),
-            ({"variance_mode": "pooled"}, "variance_mode must be one of"),
+            ({"variance_mode": "pooled"}, "has unknown keys: ['variance_mode']"),
         ],
     )
     def test_bad_knobs_exit_2_under_every_method_before_the_panel_is_read(
@@ -420,8 +420,18 @@ class TestBandConfig:
         assert message in err
         assert "Traceback" not in err
 
+    def test_the_variance_mode_flag_is_gone(self, tmp_path, capsys):
+        """``naive`` is always the Welch band: no flag selects its variance."""
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", demo_csv(tmp_path), "--tau", "55", "--method", "naive",
+                  "--variance-mode", "welch"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "unrecognized arguments: --variance-mode welch" in stderr
+        assert "Traceback" not in stderr
+
     def test_every_float_knob_has_exactly_one_flag_and_each_flag_sets_its_field(self):
-        not_float = {"bernstein", "truncation", "variance_mode"}
+        not_float = {"bernstein", "truncation"}
         knobs = [(None, f.name) for f in dataclasses.fields(BandOptions) if f.name not in not_float]
         for section, cls in (("bernstein", BernsteinConstants), ("truncation", Truncation)):
             knobs += [(section, f.name) for f in dataclasses.fields(cls) if f.init]
@@ -482,20 +492,22 @@ class TestTruncationPins:
     moves of SEs and band ends, at most 8 ulps of a band end) and the
     known-support reduction took two per arm for ``iid`` too (14 cases
     changed their error), and again when every arm-size error came to name
-    its method (264 cases, error text only; the counts below)."""
+    its method (264 cases, error text only; the counts below).  The JSON
+    digests were re-recorded when the resolved configuration lost its
+    ``variance_mode`` key: only ``metadata.config_hash`` moved."""
 
     @pytest.mark.parametrize(
         ("method", "upper", "json_sha256"),
         [
-            ("iid", [], "1aaa2633b0d4bfff5e2d7def40373687ac9a3eb0922255d1e69a1a75d184b48b"),
+            ("iid", [], "664cedba0d1f494c56f12506b5083b93fdc8e28295a74c265a8a9982751e40bf"),
             ("iid", ["--truncation-upper", "40"],
-             "15da2285b79435fe59fe1c461af81e0819ccf7ebc00440652a3902c08b7f479b"),
-            ("mixing", [], "0dbedea8ac31225215d5e13ec86a60e5886fbd52b07d58876ca807cfb76c72db"),
+             "983e41b333e7709fc5969ab886c5e7af33c0903cf4e0faa1d6f382aaea3dc953"),
+            ("mixing", [], "df4e0693c95f980e60308c2d17e105855fa587c233575e00a38eca3a38f22cd6"),
             ("mixing", ["--truncation-upper", "40"],
-             "faa590ff7101494b296b4c79c3cb265c3ec154d79fe7ba5a8dbda27dfaabca04"),
-            ("hybrid", [], "dc4af890cfabc0804b33012a9a6b88bb80af3eb0e755a966b544ee74be148521"),
+             "616ef141cfbf7d7a6084c98233a90c4128b0b4a8e13bcb56102b13b2fcdb174b"),
+            ("hybrid", [], "dc90889d4face892bc44dc9a5b5e4b417000a19f862cf0af5e3fbdb9949056ef"),
             ("hybrid", ["--truncation-upper", "40"],
-             "1155934d7e208b32db47c50934209f073aaef3d636a20f842c463763fa57e360"),
+             "8119e96408b6c67167eae6c4a9a77ba587ec09fbaff78752890f23625cda2e02"),
         ],
     )
     def test_bounds_json_is_pinned(self, tmp_path, capsys, method, upper, json_sha256):
@@ -740,43 +752,43 @@ class TestScan:
             (
                 "naive",
                 "b94e0fb4d12f22919a8684034e308bc6d5a689a85d9192613d9239c941391a60",
-                "56f9259e6a7eab2d4266cbade7f576a4e07db7b8fcc9e5b983ccb9c7aa374c3c",
+                "e9aa853996c87139468926025fa5732335eaea341167147c2350a145c32063f1",
                 "632e628c837d4cde41f2546deb64d4f10b6e047fbc0d9a1be092c710ff155553",
             ),
             (
                 "manski-max",
                 "b288bed758d9c718803235f1d5dd077dd2688a579abb71c355ccb6d94f881e36",
-                "a7d04f308ce2f55cbaa1f730aa338725b213643e7fa8bb2fe77128944742e9ae",
+                "9ea812e809c0aeef907b4eb690b15742ca4c0d6f1e4510d7bb91c53c5f7ee785",
                 "5911d4868aec8a7f90e3a59c429bb5b9727ae7138661c467581839d035d6e389",
             ),
             (
                 "manski-q05",
                 "fa2905609601db0610ad8cdfde3b2ed372d746277b33879f65e5ad52d2da0756",
-                "5881a411be7aa7d127139217a5da0b7881a8827fab07e3764686d3e57f11bdf6",
+                "b9002e253a0bd48c3ee206f21edab92eceef9cfbe425d8df3df0aca0afd8e11b",
                 "17dfbe3d12e4c1ccf834384c0a08a4fc847675552c816b831c5adbe8ba5563a9",
             ),
             (
                 "manski-q10",
                 "7507efd0bb7419f340460a0da26d178d09b76d641c80c097c826e85558f47bf6",
-                "54a8ed8ca36a776346bd4dd4446767d0e48579a2984a2044b30f502afea3c01c",
+                "f920af564981bc64d0271e6ad48cf8976d81b994620d4b1682ff45fc60c58ad2",
                 "bad9f2f2a289a2e6dc1153cbd707d2c9d226675c615059f8f095a3fffc87bf37",
             ),
             (
                 "iid",
                 "ff4bc0862173f40b1270d21ddb32f96988538203ada6e09c3c8c4d939a7bba82",
-                "e7bc63ddb47e40cfcd09b05226508ff35e303146b123fdb9d97454b6a400ac00",
+                "2142c15c9709979f4cf092129592e61602b97f58c776fe9b4c2a6785668d052e",
                 "03feca4391c4935e1bda70d31c70c39f2693ef1615b28b5b16be7d27b9168231",
             ),
             (
                 "mixing",
                 "1fecdc4022375170dc7be72ef663252d26182031ed49763b9feda904f44b16d7",
-                "67c87e5f2f8d66bde5b978ff569cb9a804d7d533b805268e4b9ea9fa4a5fda3b",
+                "f9eaed1a7651abacec4570107787d3a182e9fb018601b776d27bc55db27e93a0",
                 "afa59cba65de5fc5a9c834d161c2a638dcb707543452042331ef16383418ab9f",
             ),
             (
                 "hybrid",
                 "0693cd2b84a6ade68aaf4300d42f137ba1e8fdcb825a23bba6dd6721f2b339bd",
-                "cab223b13e98398e47d442e44092d9379905952834f4ce8be9c7efc6542a7f7b",
+                "432dbc8a7735f9dae26c67bd90bc9c13a94258f6a84bf44d31058bcede04203b",
                 "a1cf495245d15f0084c4ee9e7659955430402aaa0304273e5efef00040e517fe",
             ),
         ],
@@ -787,7 +799,9 @@ class TestScan:
         bound from the extrema; every method must reproduce all three files byte for byte.
         The JSON digests of ``manski-*`` and ``hybrid`` were re-recorded when the
         delta-method SE became one closed form: band ends moved by at most 16 ulps,
-        below the CSV's and the SVG's precision."""
+        below the CSV's and the SVG's precision.  Every JSON digest was re-recorded
+        when the resolved configuration lost its ``variance_mode`` key: only
+        ``metadata.config_hash`` moved."""
         out, report, chart = tmp_path / "scan.csv", tmp_path / "scan.json", tmp_path / "scan.svg"
         rc = main([
             "scan", demo_csv(tmp_path), "--method", method,
@@ -799,23 +813,41 @@ class TestScan:
         assert hashlib.sha256(chart.read_bytes()).hexdigest() == svg_sha256
         capsys.readouterr()
 
+    def test_a_period_by_period_file_scans_as_the_unit_by_unit_one(self, tmp_path, capsys):
+        """The demo's rows sorted by (time, unit): rows are put back in serial
+        order on load, so every method writes the same CSV, JSON and stdout."""
+        unit_major = Path(demo_csv(tmp_path))
+        header, *rows = unit_major.read_text().splitlines(keepends=True)
+        quarter_major = tmp_path / "quarter.csv"
+        by_period = sorted(rows, key=lambda row: (int(row.split(",")[1]), row))
+        quarter_major.write_text(header + "".join(by_period))
+        assert quarter_major.read_text() != unit_major.read_text()
+        for method in METHODS:
+            outputs = []
+            for path in (unit_major, quarter_major):
+                out, report = tmp_path / f"{path.stem}_scan.csv", tmp_path / f"{path.stem}.json"
+                assert main(["scan", str(path), "--method", method,
+                             "--out", str(out), "--json", str(report)]) == 0
+                outputs.append((out.read_bytes(), report.read_bytes(), capsys.readouterr()))
+            assert outputs[0] == outputs[1], method
+
     def test_mixing_scan_with_row_by_row_signals_is_pinned(self, tmp_path, capsys):
         """Each row draws its own signal, so every look splits on a mask of
-        short runs; digest recorded with the same pins as above."""
+        short runs; digest recorded and re-recorded with the same pins as above."""
         path = tmp_path / "null.csv"
         write_panel_csv(make_null_panel(500, 4, seed=11), path)
         report = tmp_path / "scan.json"
         assert main(["scan", str(path), "--method", "mixing", "--json", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "c1e4b0e000b4f9514871534864cafa9bb87c49e3c15d95b374618ba436802868"
+            "95cbfff06dc0b09a9699aab4ae35a23542b4d088439f692efaeeab2ceab4209e"
         )
         capsys.readouterr()
 
     @pytest.mark.parametrize(
         ("signal_per", "json_sha256"),
         [
-            ("row", "46a69d89753f652784dd00eca1433bec0105c2e9672179cfed17f4b2159dc8b5"),
-            ("unit", "38d22dbdd3d904de1945cc5b932cdfaa2462140e285c3995b920b9882a1e4698"),
+            ("row", "cdac2f61f6fbb5be67c77b6f6adeb7ce2f2d47cbc9d6383ccf5832edcb3f329a"),
+            ("unit", "ed8f3dc8a424733d03d052bdc1c88e84ec29e0a36b1feaec28a8d14eadb678bf"),
         ],
     )
     def test_many_look_mixing_scan_is_pinned_on_both_mask_shapes(
@@ -825,7 +857,8 @@ class TestScan:
         the treatment mask every row or two; a signal held per unit leaves
         runs of 50 rows.  The serial-order arms feed the long-run variance,
         so both digests pin the order of the arms as well as their values.
-        Recorded before the arm split gathered by index."""
+        Recorded before the arm split gathered by index; re-recorded when only
+        ``metadata.config_hash`` moved, as above."""
         rng = np.random.default_rng(20261018)
         n_units, n_periods = 40, 50
         n = n_units * n_periods

@@ -6,11 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from concate.bands import METHODS, BandOptions, compute_band
+from concate.bands import METHODS, compute_band
 from concate.datasets import make_tipping_demo_panel
 from concate.errors import DegenerateArmError, ValidationError
 from concate.estimators import (
-    VARIANCE_MODES,
     _order_statistic,
     group_stats,
     split_arms,
@@ -217,30 +216,11 @@ class TestNaiveEstimate:
         expected = math.sqrt(y1.var(ddof=1) / 40 + y0.var(ddof=1) / 10)
         assert abs(est.se_lower - expected) < 1e-12
 
-    def test_contrast_variance_formula(self):
-        rng = np.random.default_rng(62)
-        y1 = rng.standard_normal(15) + 1.0
-        y0 = rng.standard_normal(25)
-        s = stats_from(y1, y0)
-        est = compute_band(s, "naive", 0.05, BandOptions(variance_mode="contrast"))
-        delta = y1.mean() - y0.mean()
-        c = np.concatenate([y1 / 15, -y0 / 25])
-        expected = math.sqrt(float(np.sum((c - delta) ** 2)) / (40 - 1))
-        assert abs(est.se_lower - expected) < 1e-12
-
     def test_interval_narrows_as_alpha_grows(self):
         s = stats_from([0.0, 2.0, 1.0], [1.0, 3.0, 2.0])
         wide = compute_band(s, "naive", 0.01)
         narrow = compute_band(s, "naive", 0.10)
         assert wide.band_upper - wide.band_lower > narrow.band_upper - narrow.band_lower
-
-    def test_modes_tuple(self):
-        assert VARIANCE_MODES == ("welch", "contrast")
-
-    def test_unknown_mode(self):
-        s = stats_from([0.0, 2.0], [1.0, 3.0])
-        with pytest.raises(ValidationError):
-            compute_band(s, "naive", 0.05, BandOptions(variance_mode="pooled"))
 
     def test_alpha_validation(self):
         s = stats_from([0.0, 2.0], [1.0, 3.0])

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from concate import panel as panel_module
+from concate.bands import compute_band
+from concate.datasets import write_panel_csv
 from concate.errors import ConcateError, DataError, RowError, SchemaError, ValidationError
 from concate.panel import (
     MISSING_MARKERS,
@@ -22,6 +24,7 @@ from concate.panel import (
     rolling_correlation,
     summary_stats,
 )
+from concate.estimators import group_stats
 
 HEADER = "unit_id,time,outcome,signal\n"
 
@@ -154,6 +157,22 @@ class TestLoadCsv:
         path = write(tmp_path, HEADER + "f1,1,1.0,40\n")
         with pytest.raises(DataError):
             load_csv(path).filter_group("tech")
+
+    def test_written_panel_with_a_group_column_reads_back(self, tmp_path):
+        panel = PanelDataset(
+            unit=np.array(["f1", "f1", "f2"], dtype=object),
+            time=np.array([1, 2, 1], dtype=np.int64),
+            outcome=np.array([1.5, -2.25, 0.125]),
+            signal=np.array([40.0, 0.5, 99.75]),
+            group=np.array(["fin", None, "tech"], dtype=object),
+        )
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        assert path.read_text().splitlines()[:3] == [
+            "unit_id,time,outcome,signal,group", "f1,1,1.500000,40.000000,fin",
+            "f1,2,-2.250000,0.500000,",
+        ]
+        _assert_same(load_csv(path, PanelSchema(group="group")), panel)
 
     def test_infinite_cells_report_their_line(self, tmp_path):
         for column, row in (
@@ -338,6 +357,36 @@ class TestColumnWiseIngest:
         assert len(reads) == 2
 
 
+    def test_a_numeric_cell_wider_than_its_byte_field_keeps_its_value(self, tmp_path):
+        # a marker in the probed rows reads the outcome as byte cells; the
+        # 40-digit cell would be cut to 32 digits without the width guard
+        wide = "1234567890" * 4
+        path = write(tmp_path, HEADER + f"f1,1,NA,40\nf1,2,{wide},50\nf2,1,-3.25,60\n")
+        panel = load_csv(path)
+        assert panel.outcome.tolist() == [float(wide), -3.25]
+        assert panel.n_dropped == 1
+
+    def test_two_schema_names_on_one_column_read_it_twice(self, tmp_path):
+        path = write(tmp_path, HEADER + "f1,1,1.5,40\nf2,1,2.5,60\n")
+        schema = PanelSchema(outcome="signal")
+        assert _load_columns(path, schema) is None
+        panel = load_csv(path, schema)
+        assert panel.outcome.tolist() == panel.signal.tolist() == [40.0, 60.0]
+
+    def test_a_bad_time_after_the_probe_names_its_line_with_both_numbers_as_bytes(
+        self, tmp_path
+    ):
+        # markers in both numeric columns leave nothing to parse as float64,
+        # so the full read that fails on the time has no fallback read
+        lines = [HEADER, "f0,1,NA,40\n", "f1,1,1.5,NA\n"]
+        lines += [f"f{i},{'abc' if i == 1500 else 1},1.5,40\n" for i in range(2, 2_000)]
+        path = write(tmp_path, "".join(lines))
+        with pytest.raises(RowError) as err:
+            load_csv(path)
+        assert err.value.line_number == 1502
+        assert "time index 'abc' is not an integer" in str(err.value)
+
+
 class TestSyntheticApplicationScale:
     """Format anchors at the scale of the application tables."""
 
@@ -434,6 +483,56 @@ class TestPanelValidation:
             unit=unit[order], time=time[order], outcome=np.zeros(unit.size), signal=np.ones(unit.size)
         )
         assert panel.n == n_units * periods
+
+
+class TestSerialOrder:
+    """Rows are put in serial order, (unit in order of first appearance,
+    time), whatever order they are given in."""
+
+    def test_rows_are_sorted_by_unit_appearance_then_time(self):
+        panel = PanelDataset(
+            unit=np.array(["b", "a", "b", "a"], dtype=object),
+            time=np.array([2, 2, 1, 1], dtype=np.int64),
+            outcome=np.array([1.0, 2.0, 3.0, 4.0]),
+            signal=np.array([10.0, 20.0, 30.0, 40.0]),
+            group=np.array(["x", None, "y", "z"], dtype=object),
+        )
+        assert panel.unit.tolist() == ["b", "b", "a", "a"]
+        assert panel.time.tolist() == [1, 2, 1, 2]
+        assert panel.outcome.tolist() == [3.0, 1.0, 4.0, 2.0]
+        assert panel.signal.tolist() == [30.0, 10.0, 40.0, 20.0]
+        assert panel.group.tolist() == ["y", "x", "z", None]
+
+    def test_errors_name_the_rows_as_given(self):
+        with pytest.raises(DataError, match="^outcome is not finite at row 0 "):
+            PanelDataset(
+                unit=np.array(["a", "a"], dtype=object), time=np.array([2, 1]),
+                outcome=np.array([np.nan, 1.0]), signal=np.array([10.0, 20.0]),
+            )
+
+    def test_a_quarter_major_mixing_band_equals_the_unit_major_one(self):
+        """An AR(1) null (rho 0.8, 400 units x 20 periods, one signal per
+        unit) split at 50: the mixing band's long-run variances read the
+        arms in serial order, which a period-by-period file must not move."""
+        rng = np.random.default_rng(5)
+        n_units, periods, rho = 400, 20, 0.8
+        y = np.empty((n_units, periods))
+        y[:, 0] = rng.standard_normal(n_units) / math.sqrt(1.0 - rho**2)
+        for t in range(1, periods):
+            y[:, t] = rho * y[:, t - 1] + rng.standard_normal(n_units)
+        columns = {
+            "unit": np.repeat([f"u{i}" for i in range(n_units)], periods).astype(object),
+            "time": np.tile(np.arange(1, periods + 1, dtype=np.int64), n_units),
+            "outcome": y.ravel(),
+            "signal": np.repeat(rng.uniform(0.0, 100.0, n_units), periods),
+        }
+        quarter_major = np.argsort(columns["time"], kind="stable")
+        bands = []
+        for order in (np.arange(y.size), quarter_major):
+            panel = PanelDataset(**{name: values[order] for name, values in columns.items()})
+            stats = group_stats(panel, assign_treatment(panel, 50.0))
+            bands.append(compute_band(stats, "mixing", 0.05))
+        assert repr(bands[0]) == repr(bands[1])
 
 
 class TestSummaryStats:

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from concate.bands import METHODS, TRUNCATION_METHODS, BandOptions, compute_band
 from concate.concentration import BernsteinConstants, Truncation, _mean_bounds
 from concate.errors import ConcateError, DegenerateArmError
-from concate.estimators import GroupStats, split_arms
+from concate.estimators import GroupStats, group_stats, split_arms
 from concate.manski import SupportBounds, wald_interval
 from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
-from concate.panel import PanelDataset, PanelSchema, _load_columns, _load_rows
+from concate.panel import PanelDataset, PanelSchema, _load_columns, _load_rows, assign_treatment
 from delta_oracle import bound_gradients, endpoint_se, sampling_covariance
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -210,7 +210,6 @@ def knobs(draw, kind, y):
             long_run_var=draw(st.none() | NONNEGATIVE),
         ),
         truncation=Truncation(lower=lower, upper=upper),
-        variance_mode=draw(st.sampled_from(["welch", "contrast"])),
     )
 
 
@@ -286,6 +285,65 @@ def test_every_band_is_finite_or_a_concate_error(kind, data):
             # iid and mixing report no SE of the reduction: hybrid's carries it
             reduced = compute_band(stats, "hybrid", alpha_u, options)
             assert (band.band_lower, band.band_upper) == (reduced.band_lower, reduced.band_upper)
+
+
+#: The methods whose band already does not move with the outcome's origin.
+#: ``iid`` and ``mixing`` pad with terms that do (ROADMAP Direction 1): over
+#: 400 draws of the test below, their regions and band ends moved by up to
+#: 4.3 and 12.3 times (1 + |a| + max |y|), these five's by 6e-16 times it.
+ORIGIN_FREE = ("naive", "manski-max", "manski-q05", "manski-q10", "hybrid")
+
+
+@PROPERTY_SETTINGS
+@given(
+    samples(min_arm=2),
+    st.sampled_from([-1e8, -3.7, 0.5, 1e6]) | st.floats(-1e8, 1e8),
+    st.sampled_from([0.001, 0.05, 0.3]),
+)
+def test_a_shift_of_every_outcome_moves_no_region_or_band(sample, shift, alpha_u):
+    """Adding a constant a to every outcome leaves each region and band of
+    :data:`ORIGIN_FREE` where it was, up to 1e-12 (1 + |a| + max |y|)."""
+    y, z = sample
+    before, after = split_arms(y, z), split_arms(y + shift, z)
+    tolerance = 1e-12 * (1.0 + abs(shift) + float(np.max(np.abs(y))))
+    for method in ORIGIN_FREE:
+        want, got = compute_band(before, method, alpha_u), compute_band(after, method, alpha_u)
+        for end in ("region_lower", "region_upper", "band_lower", "band_upper"):
+            assert abs(getattr(got, end) - getattr(want, end)) <= tolerance, (method, end)
+
+
+@st.composite
+def reordered_panels(draw):
+    """Columns of a balanced panel in unit-major order, and a row order that
+    keeps the units' first-appearance order: a random permutation whose
+    units are relabelled by the rank of their first appearance."""
+    n_units, periods = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = n_units * periods
+    unit_of, time_of = np.divmod(rng.permutation(n), periods)
+    rank = np.empty(n_units, dtype=np.int64)
+    rank[np.argsort(np.unique(unit_of, return_index=True)[1])] = np.arange(n_units)
+    signal = rng.uniform(0.0, 100.0, n if draw(st.booleans()) else n_units)
+    columns = {
+        "unit": np.repeat([f"u{i}" for i in range(n_units)], periods).astype(object),
+        "time": np.tile(np.arange(1, periods + 1, dtype=np.int64), n_units),
+        "outcome": draw(st.sampled_from([0.0, 1e8, -3.7])) + rng.standard_normal(n).cumsum(),
+        "signal": signal if signal.size == n else np.repeat(signal, periods),
+    }
+    return columns, rank[unit_of] * periods + time_of
+
+
+@PROPERTY_SETTINGS
+@given(reordered_panels(), st.floats(0.0, 100.0))
+def test_a_row_order_keeping_the_units_first_appearance_moves_no_band(drawn, tau):
+    columns, order = drawn
+    panels = [PanelDataset(**columns), PanelDataset(**{k: v[order] for k, v in columns.items()})]
+    assert panels[0].unit.tolist() == panels[1].unit.tolist()
+    for name in ("time", "outcome", "signal"):
+        assert same_bits(getattr(panels[0], name), getattr(panels[1], name)), name
+    splits = [group_stats(panel, assign_treatment(panel, tau)) for panel in panels]
+    for method in METHODS:
+        assert _outcome(splits[0], method, 0.05) == _outcome(splits[1], method, 0.05), method
 
 
 def test_mean_bound_is_exact_when_the_mean_rounds_outside_the_arm():
