@@ -95,7 +95,8 @@ def compute_band(
     violates.  With both support limits known nothing is left to pad: the
     band is the delta-method band on the known support, with zero
     paddings, and only hybrid reports its SEs.  A band with a non-finite
-    end is never returned: it raises DegenerateArmError.
+    end, or one that does not contain its region, is never returned: it
+    raises DegenerateArmError.
     """
     if method not in BUILDERS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
@@ -122,4 +123,6 @@ def compute_band(
         band = replace(band, paddings=Paddings.zero(), **unused)
     if not (math.isfinite(band.band_lower) and math.isfinite(band.band_upper)):
         raise DegenerateArmError(f"{method} band has a non-finite end")
+    if not band.band_lower <= band.region_lower <= band.region_upper <= band.band_upper:
+        raise DegenerateArmError(f"{method} band does not contain its region")
     return band

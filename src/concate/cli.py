@@ -40,22 +40,12 @@ RNG_DESCRIPTION = (
 )
 
 
-def _config_hash(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _metadata(command: str, config: dict, seed: int | None = None, rng: str | None = None) -> dict:
-    meta = {
-        "version": __version__,
-        "command": command,
-        "config_hash": _config_hash(config),
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    if rng is not None:
-        meta["rng"] = rng
-    return meta
+def _metadata(command: str, config: dict, **extras: object) -> dict:
+    """A report's version, command and SHA-256 of its canonical configuration,
+    with ``extras`` as further keys."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    config_hash = hashlib.sha256(canonical.encode()).hexdigest()
+    return {"version": __version__, "command": command, "config_hash": config_hash, **extras}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -295,19 +285,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _write_scan_csv(result: ScanResult, path: str) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "tau",
-                "N0",
-                "N1",
-                "lower",
-                "upper",
-                "band_lower",
-                "band_upper",
-                "excludes_zero",
-                "skipped",
-            ]
-        )
+        writer.writerow(["tau", "N0", "N1", "lower", "upper", "band_lower", "band_upper",
+                         "excludes_zero", "skipped"])
         for row in result.rows:
             band, cells = row.band, [""] * 5
             if band is not None:
@@ -422,9 +401,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "manski_variant": args.manski_variant,
         }
         payload = {
-            "metadata": _metadata(
-                "simulate", config, seed=args.seed, rng=RNG_DESCRIPTION
-            ),
+            "metadata": _metadata("simulate", config, seed=args.seed, rng=RNG_DESCRIPTION),
             "cells": [asdict(c) for c in cells],
         }
         _write_json(args.json, payload)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, ValidationError
+from .errors import ConfigurationError, DataError, DegenerateArmError, ValidationError
 from .estimators import GroupStats
 from .manski import BandResult, Paddings, SupportBounds, manski_region
 
@@ -332,15 +332,23 @@ def _padded_band(
 ) -> BandResult:
     """The six-event band: ``padded_interval`` on the supports widened by the
     support paddings, reported with the region on the unpadded supports
-    (zero paddings, so a known lower limit still replaces the lower ones)."""
+    (zero paddings, so a known lower limit still replaces the lower ones).
+
+    The formula's signs are adversarial only when every outcome factor in it
+    is nonnegative, so it is evaluated from the origin c*, the least padded
+    lower support or padded-down mean; the ATE is a difference, so the band
+    needs no mapping back, and the reported support is the unanchored one.
+    """
+    if not all(map(math.isfinite, astuple(paddings))):
+        raise DegenerateArmError(f"{method} band has a non-finite end")
     support = padded_support(stats, trunc, paddings.eps_treated, paddings.eps_control)
+    m1, m0 = stats.mean_treated, stats.mean_control
+    c = min(support.lower_treated, support.lower_control,
+            m1 - paddings.t_mean_treated, m0 - paddings.t_mean_control)
+    anchored = SupportBounds(support.lower_treated - c, support.upper_treated - c,
+                             support.lower_control - c, support.upper_control - c, support.source)
     lower, upper = padded_interval(
-        stats.mean_treated,
-        stats.mean_control,
-        stats.share_treated,
-        stats.share_control,
-        support,
-        paddings,
+        m1 - c, m0 - c, stats.share_treated, stats.share_control, anchored, paddings
     )
     region_lower, region_upper = manski_region(stats, padded_support(stats, trunc, 0.0, 0.0))
     return BandResult(

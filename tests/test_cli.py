@@ -63,9 +63,11 @@ def write(tmp_path, text, name="panel.csv"):
     return str(path)
 
 
-def demo_csv(tmp_path):
-    path = tmp_path / "demo.csv"
-    write_panel_csv(make_tipping_demo_panel(), path)
+def demo_csv(tmp_path, shift=0.0):
+    """The demo panel as a CSV, with ``shift`` added to every outcome."""
+    demo = make_tipping_demo_panel()
+    path = tmp_path / ("demo.csv" if shift == 0.0 else f"demo{shift:+g}.csv")
+    write_panel_csv(dataclasses.replace(demo, outcome=demo.outcome + shift), path)
     return str(path)
 
 
@@ -295,6 +297,24 @@ class TestBounds:
         assert support["lower_treated"] == support["lower_control"] == -1000.0
         assert reports[0] == reports[1]
 
+    def test_a_known_lower_limit_below_zero_leaves_the_band_around_its_region(
+        self, tmp_path, capsys
+    ):
+        """The limit -100 enters the paper's formula as a support factor below
+        zero.  Evaluated from that zero, the band was [-106.485, -3.69654],
+        outside its region at both ends, and excluded zero."""
+        out = tmp_path / "bounds.json"
+        rc = main(["bounds", demo_csv(tmp_path), "--tau", "55", "--method", "mixing",
+                   "--truncation-lower", "-100", "--json", str(out)])
+        stdout = capsys.readouterr().out
+        assert rc == 0
+        assert "identified interval: [-104.527, 13.5934]" in stdout
+        assert "mixing band (alpha=0.05): [-163.648, 53.4661]" in stdout
+        assert "excludes zero: no" in stdout
+        result = json.loads(out.read_text())["result"]
+        region, band = result["region"], result["band"]
+        assert band["lower"] <= region["lower"] <= region["upper"] <= band["upper"]
+
     def test_upper_truncation_alone_is_rejected(self, tmp_path, capsys):
         rc = main(["bounds", demo_csv(tmp_path), "--tau", "40", "--truncation-upper", "20"])
         assert rc == 2
@@ -494,15 +514,20 @@ class TestTruncationPins:
     changed their error), and again when every arm-size error came to name
     its method (264 cases, error text only; the counts below).  The JSON
     digests were re-recorded when the resolved configuration lost its
-    ``variance_mode`` key: only ``metadata.config_hash`` moved."""
+    ``variance_mode`` key: only ``metadata.config_hash`` moved.  The ``iid``
+    and ``mixing`` digests without a known upper limit and the table were
+    re-recorded when those two bands came to evaluate the paper's formula
+    from the data's own origin: both bounds reports still include zero, and
+    14 table cases whose band escaped its region (or was inverted) and so
+    excluded zero now contain it; no error changed."""
 
     @pytest.mark.parametrize(
         ("method", "upper", "json_sha256"),
         [
-            ("iid", [], "664cedba0d1f494c56f12506b5083b93fdc8e28295a74c265a8a9982751e40bf"),
+            ("iid", [], "161b844372b856504dc696d483f5afd278573f79eabfa8f264cf431f569fcc8b"),
             ("iid", ["--truncation-upper", "40"],
              "983e41b333e7709fc5969ab886c5e7af33c0903cf4e0faa1d6f382aaea3dc953"),
-            ("mixing", [], "df4e0693c95f980e60308c2d17e105855fa587c233575e00a38eca3a38f22cd6"),
+            ("mixing", [], "ff880ededf1515f1ee546c476188792aea4e31d6c901619ec946364a08b23e2d"),
             ("mixing", ["--truncation-upper", "40"],
              "616ef141cfbf7d7a6084c98233a90c4128b0b4a8e13bcb56102b13b2fcdb174b"),
             ("hybrid", [], "dc90889d4face892bc44dc9a5b5e4b417000a19f862cf0af5e3fbdb9949056ef"),
@@ -554,7 +579,7 @@ class TestTruncationPins:
             "ValidationError: truncation is only supported by ('iid', 'mixing', 'hybrid'), not 'naive'": 96,
         }
         digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
-        assert digest == "817b1624078d3492c6e88c47824b40153f1b07720f074c6898628ca7d6b16547"
+        assert digest == "7a990f21b78e6fa6769067ce36c02c373a42a62dba18d3de6c6a7b7b4c9b95b2"
 
     def test_too_small_an_arm_is_reported_before_a_truncation_conflict(self):
         conflict = TRUNCATIONS["lower 5"]
@@ -775,15 +800,15 @@ class TestScan:
             ),
             (
                 "iid",
-                "ff4bc0862173f40b1270d21ddb32f96988538203ada6e09c3c8c4d939a7bba82",
-                "2142c15c9709979f4cf092129592e61602b97f58c776fe9b4c2a6785668d052e",
-                "03feca4391c4935e1bda70d31c70c39f2693ef1615b28b5b16be7d27b9168231",
+                "518fe9de8fff8d2b60809c596ae484a7a787ab827c94d33a5c2b3b40d8b6ba0b",
+                "5b77fd70098f4bb9f96775565442a38c48dcf8d303210d7b7913a2f100804626",
+                "c97a4ab6b8cdc618a7da48ddff519581728a697cc019a79aa6ed95aeb8a4e993",
             ),
             (
                 "mixing",
-                "1fecdc4022375170dc7be72ef663252d26182031ed49763b9feda904f44b16d7",
-                "f9eaed1a7651abacec4570107787d3a182e9fb018601b776d27bc55db27e93a0",
-                "afa59cba65de5fc5a9c834d161c2a638dcb707543452042331ef16383418ab9f",
+                "7ff38c7dcff9de1d2a13a0a6e9536ca0e3ddca544a4b096a26502964584339ad",
+                "f91576429964c0f11bd940760c412b757e8f38b5bf7bab5ff7f38a486d3da18a",
+                "d0e95e83c97ce5dbc2f4676ebea7bd450391b95b3ae435f5bb682c0da5d6babb",
             ),
             (
                 "hybrid",
@@ -801,7 +826,11 @@ class TestScan:
         delta-method SE became one closed form: band ends moved by at most 16 ulps,
         below the CSV's and the SVG's precision.  Every JSON digest was re-recorded
         when the resolved configuration lost its ``variance_mode`` key: only
-        ``metadata.config_hash`` moved."""
+        ``metadata.config_hash`` moved.  The ``iid`` and ``mixing`` digests were
+        re-recorded when those bands came to be evaluated from the data's own
+        origin: ``iid`` keeps tau = 55 as its one look excluding zero, and
+        ``mixing`` now excludes zero at tau = 55 too, where it had no tipping
+        threshold; no skip changed."""
         out, report, chart = tmp_path / "scan.csv", tmp_path / "scan.json", tmp_path / "scan.svg"
         rc = main([
             "scan", demo_csv(tmp_path), "--method", method,
@@ -811,6 +840,79 @@ class TestScan:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
         assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
         assert hashlib.sha256(chart.read_bytes()).hexdigest() == svg_sha256
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        ("shape", "svg_sha256"),
+        [
+            ("one look", "cb815d730d54b82d95f797b535cb271a96eb5560d9004c08d439749d9dcf5f4b"),
+            ("shifted", "a1cf495245d15f0084c4ee9e7659955430402aaa0304273e5efef00040e517fe"),
+            ("skip between", "3c2b2f7d62ec07ba70b3d36d9b8777f120546a3451360858b8e8adc2d85d8064"),
+        ],
+    )
+    def test_charts_beyond_the_demo_shape_are_pinned(self, tmp_path, capsys, shape, svg_sha256):
+        """``hybrid`` charts recorded before the chart writer emitted each element
+        through one helper: a one-look grid, whose threshold axis has no width;
+        the demo shifted by -40, whose ATE axis is the demo's, so its digest is
+        the demo's; and a level of 1e-300 at tau = 50, whose look is skipped
+        between two retained ones."""
+        argv = {
+            "one look": ["scan", demo_csv(tmp_path), "--grid", "50:50:1"],
+            "shifted": ["scan", demo_csv(tmp_path, -40.0)],
+            "skip between": ["scan", demo_csv(tmp_path), "--alpha-schedule",
+                             ",".join("1e-300" if tau == 50 else str(0.05 / 18)
+                                      for tau in range(5, 100, 5))],
+        }[shape]
+        chart = tmp_path / "scan.svg"
+        assert main([*argv, "--svg", str(chart)]) == 0
+        assert hashlib.sha256(chart.read_bytes()).hexdigest() == svg_sha256
+        if shape == "skip between":
+            assert "tau    50: skipped (normal quantile" in capsys.readouterr().out
+            assert chart.read_text().count("&#215;") == 9
+        capsys.readouterr()
+
+    def test_the_demo_shifted_by_minus_40_keeps_every_decision(self, tmp_path, capsys):
+        """The ATE is a difference, so no decision may move with the outcome's
+        origin.  While ``iid`` and ``mixing`` evaluated the paper's formula
+        from the outcome's zero, the shifted demo gave both a tipping
+        threshold of 5, with 11 looks excluding zero."""
+        paths = demo_csv(tmp_path), demo_csv(tmp_path, -40.0)
+        for method in METHODS:
+            decisions = []
+            for path in paths:
+                report = tmp_path / "scan.json"
+                assert main(["scan", path, "--method", method, "--json", str(report)]) == 0
+                payload = json.loads(report.read_text())
+                rows = [r.get("reason") or r["band"]["excludes_zero"] for r in payload["rows"]]
+                decisions.append((payload["tipping_tau"], payload["direction"], rows))
+            assert decisions[0] == decisions[1], method
+            assert decisions[0][0] == (5.0 if method == "naive" else 55.0), method
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-200])
+    def test_the_y_ticks_do_not_depend_on_the_outcome_scale(self, tmp_path, capsys, scale):
+        """Ticks used to be kept within an absolute 1e-12 of the axis and
+        rounded to 10 decimals, so at 1e-12 every label read 0 at one y."""
+        demo = make_tipping_demo_panel()
+        rows = [f"{u},{t},{float(y) * scale!r},{float(s)!r}\n"
+                for u, t, y, s in zip(demo.unit, demo.time, demo.outcome, demo.signal)]
+        path, chart = tmp_path / "scaled.csv", tmp_path / "scan.svg"
+        path.write_text("unit_id,time,outcome,signal\n" + "".join(rows))
+        assert main(["scan", str(path), "--method", "manski-max", "--svg", str(chart)]) == 0
+        ticks = [(e.get("y"), e.text) for e in ET.parse(chart).getroot()
+                 if e.tag.endswith("text") and e.get("text-anchor") == "end"]
+        ys, labels = [y for y, _ in ticks], [float(text) for _, text in ticks]
+        assert len(set(ys)) == len(set(labels)) == len(ticks) >= 4
+        assert 0.0 in labels and max(labels) < 100.0 * scale
+        capsys.readouterr()
+
+    def test_no_y_tick_reads_minus_zero(self, tmp_path, capsys):
+        path, chart = tmp_path / "null.csv", tmp_path / "scan.svg"
+        write_panel_csv(make_null_panel(300, 4, seed=3), path)
+        assert main(["scan", str(path), "--method", "naive", "--grid", "5:95:5",
+                     "--svg", str(chart)]) == 0
+        text = chart.read_text()
+        assert ">0</text>" in text and ">-0</text>" not in text
         capsys.readouterr()
 
     def test_a_period_by_period_file_scans_as_the_unit_by_unit_one(self, tmp_path, capsys):
@@ -833,21 +935,23 @@ class TestScan:
 
     def test_mixing_scan_with_row_by_row_signals_is_pinned(self, tmp_path, capsys):
         """Each row draws its own signal, so every look splits on a mask of
-        short runs; digest recorded and re-recorded with the same pins as above."""
+        short runs; digest recorded and re-recorded with the same pins as above,
+        and re-recorded with the ``iid``/``mixing`` pins: no look excludes zero
+        before or after, and no skip changed."""
         path = tmp_path / "null.csv"
         write_panel_csv(make_null_panel(500, 4, seed=11), path)
         report = tmp_path / "scan.json"
         assert main(["scan", str(path), "--method", "mixing", "--json", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "95cbfff06dc0b09a9699aab4ae35a23542b4d088439f692efaeeab2ceab4209e"
+            "5c412114baf632480a0cf6fc4b3ab54803a7853211e5a56bce786dc116b313ca"
         )
         capsys.readouterr()
 
     @pytest.mark.parametrize(
         ("signal_per", "json_sha256"),
         [
-            ("row", "cdac2f61f6fbb5be67c77b6f6adeb7ce2f2d47cbc9d6383ccf5832edcb3f329a"),
-            ("unit", "ed8f3dc8a424733d03d052bdc1c88e84ec29e0a36b1feaec28a8d14eadb678bf"),
+            ("row", "075abcb084e9829e6a63c3021e05d3cb9c3fafc98a86d4ed01453fa77096fefb"),
+            ("unit", "f1a328b1ba0c37b68100c9af78a00b821b2363b924b3a5c107612d285df083fb"),
         ],
     )
     def test_many_look_mixing_scan_is_pinned_on_both_mask_shapes(
@@ -858,7 +962,10 @@ class TestScan:
         runs of 50 rows.  The serial-order arms feed the long-run variance,
         so both digests pin the order of the arms as well as their values.
         Recorded before the arm split gathered by index; re-recorded when only
-        ``metadata.config_hash`` moved, as above."""
+        ``metadata.config_hash`` moved, as above, and with the ``iid``/``mixing``
+        pins: the 11 looks (row) and 2 looks (unit) that excluded zero, with
+        tipping thresholds 2 (negative) and 92 (positive), were bands outside
+        their own region; now none excludes zero, and no skip changed."""
         rng = np.random.default_rng(20261018)
         n_units, n_periods = 40, 50
         n = n_units * n_periods

@@ -3,6 +3,7 @@ band methods and the block-derived replication seeds against eager
 reference computations."""
 
 import math
+import re
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from concate.bands import METHODS, TRUNCATION_METHODS, BandOptions, compute_band
 from concate.concentration import BernsteinConstants, Truncation, _mean_bounds
-from concate.errors import ConcateError, DegenerateArmError
+from concate.errors import ConcateError, ConfigurationError, DegenerateArmError
 from concate.estimators import GroupStats, group_stats, split_arms
 from concate.manski import SupportBounds, wald_interval
 from concate.montecarlo import MAX_REPS, MC_DESIGNS, DgpSpec, _replication_seeds, replication_seed
@@ -287,13 +288,6 @@ def test_every_band_is_finite_or_a_concate_error(kind, data):
             assert (band.band_lower, band.band_upper) == (reduced.band_lower, reduced.band_upper)
 
 
-#: The methods whose band already does not move with the outcome's origin.
-#: ``iid`` and ``mixing`` pad with terms that do (ROADMAP Direction 1): over
-#: 400 draws of the test below, their regions and band ends moved by up to
-#: 4.3 and 12.3 times (1 + |a| + max |y|), these five's by 6e-16 times it.
-ORIGIN_FREE = ("naive", "manski-max", "manski-q05", "manski-q10", "hybrid")
-
-
 @PROPERTY_SETTINGS
 @given(
     samples(min_arm=2),
@@ -301,13 +295,21 @@ ORIGIN_FREE = ("naive", "manski-max", "manski-q05", "manski-q10", "hybrid")
     st.sampled_from([0.001, 0.05, 0.3]),
 )
 def test_a_shift_of_every_outcome_moves_no_region_or_band(sample, shift, alpha_u):
-    """Adding a constant a to every outcome leaves each region and band of
-    :data:`ORIGIN_FREE` where it was, up to 1e-12 (1 + |a| + max |y|)."""
+    """Adding a constant a to every outcome leaves each method's region and
+    band where it was, up to 1e-12 (1 + |a| + max |y|).  A level that a method
+    cannot calibrate (``mixing``'s third Bernstein term on an arm of a few
+    rows) fails with the same error at both origins."""
     y, z = sample
     before, after = split_arms(y, z), split_arms(y + shift, z)
     tolerance = 1e-12 * (1.0 + abs(shift) + float(np.max(np.abs(y))))
-    for method in ORIGIN_FREE:
-        want, got = compute_band(before, method, alpha_u), compute_band(after, method, alpha_u)
+    for method in METHODS:
+        try:
+            want = compute_band(before, method, alpha_u)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                compute_band(after, method, alpha_u)
+            continue
+        got = compute_band(after, method, alpha_u)
         for end in ("region_lower", "region_upper", "band_lower", "band_upper"):
             assert abs(getattr(got, end) - getattr(want, end)) <= tolerance, (method, end)
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,11 +237,40 @@ class TestComputeBand:
         with pytest.raises(DegenerateArmError, match=f"^{method} band has a non-finite end$"):
             compute_band(s, method, 0.05, options)
 
+    @pytest.mark.parametrize(
+        "region", [(-1.0, 1.0), (-0.5, 2.5), (0.5, -0.5)], ids=["low", "high", "inverted"]
+    )
+    def test_a_band_that_does_not_contain_its_region_is_degenerate(self, monkeypatch, region):
+        s = random_stats(np.random.default_rng(210))
+        band = replace(point_result(-0.8, 2.0), region_lower=region[0], region_upper=region[1])
+        monkeypatch.setitem(BUILDERS, "naive", lambda *args: band)
+        with pytest.raises(DegenerateArmError, match="^naive band does not contain its region$"):
+            compute_band(s, "naive", 0.05)
+
     def test_excludes_zero(self):
         assert point_result(0.5, 2.0).excludes_zero
         assert point_result(-2.0, -0.5).excludes_zero
         assert not point_result(-1.0, 1.0).excludes_zero
         assert not point_result(0.0, 1.0).excludes_zero
+
+
+@pytest.mark.parametrize("shift", [0.0, -20.0])
+@pytest.mark.parametrize("method", ["iid", "mixing"])
+def test_the_padded_bands_keep_the_family_wise_error_on_null_panels(method, shift):
+    """Criterion 5's check for the two padded bands, on its first 300 null
+    panels with the outcome as drawn and shifted by -20: the share of panels
+    with a tipping threshold stays within 0.05 + 3 sqrt(0.05 * 0.95 / 300),
+    0.0877.  While the paper's formula was evaluated from the outcome's zero,
+    ``mixing`` tipped on 298 panels as drawn, and both on all 300 shifted."""
+    grid, n_panels, false_hits = ThresholdGrid.default(), 300, 0
+    for i in range(n_panels):
+        panel = make_null_panel(120, 1, seed=20240605 + i)
+        panel = replace(panel, outcome=panel.outcome + shift)
+        try:
+            false_hits += scan(panel, grid, method, alpha=0.05).tipping_tau is not None
+        except EmptyScanError:
+            pass
+    assert false_hits / n_panels <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / n_panels)
 
 
 class TestScan:
