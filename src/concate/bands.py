@@ -10,6 +10,7 @@ table, and then looks the method up in :data:`BUILDERS`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 from typing import Callable
 
@@ -95,7 +96,9 @@ def compute_band(
     violates.  With both support limits known nothing is left to pad: the
     band is the delta-method band on the known support, with zero
     paddings, and only hybrid reports its SEs.  A band with a non-finite
-    end, or one that does not contain its region, is never returned: it
+    end, one that does not contain its region, or one no wider than 64
+    epsilons of the largest absolute outcome (a constant outcome, whose
+    band could exclude zero through rounding alone) is never returned: it
     raises DegenerateArmError.
     """
     if method not in BUILDERS:
@@ -125,4 +128,7 @@ def compute_band(
         raise DegenerateArmError(f"{method} band has a non-finite end")
     if not band.band_lower <= band.region_lower <= band.region_upper <= band.band_upper:
         raise DegenerateArmError(f"{method} band does not contain its region")
+    extremes = (stats.min_treated, stats.max_treated, stats.min_control, stats.max_control)
+    if band.band_upper - band.band_lower <= 64 * sys.float_info.epsilon * max(map(abs, extremes)):
+        raise DegenerateArmError(f"{method} band is no wider than the rounding of its outcomes")
     return band

@@ -150,7 +150,7 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
     file_cfg: object = {}
     if args.config is not None:
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
+            file_cfg = json.loads(Path(args.config).read_text(), parse_int=float)
         except FileNotFoundError:
             raise DataError(f"config file not found: {args.config}") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, field
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateArmError, ValidationError
+from .errors import ConfigurationError, DataError, ValidationError
 from .estimators import GroupStats
 from .manski import BandResult, Paddings, SupportBounds, manski_region
 
 
 def _finite(name: str, value: object) -> float:
     """``value`` if it is a finite real number (a bool is not); else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return value
 
@@ -149,19 +151,6 @@ def bernstein_tmu_iid(alpha_u: float, n: int, m: float, c_abs: float = 1.0) -> f
     )
 
 
-def _log_tail_exponent(u: float, n: int, constants: BernsteinConstants) -> float:
-    """log of the exponent of the third weak-dependence tail term at u = n * t.
-
-    Only defined for u > 1; computed in log space to dodge overflow near 1.
-    """
-    a = constants.gamma * (1.0 - constants.gamma)
-    return (
-        2.0 * math.log(u)
-        - math.log(constants.c3 * n)
-        + u**a / (constants.c4 * math.log(u) ** constants.gamma)
-    )
-
-
 def bernstein_term3_root(alpha_u: float, n: int, constants: BernsteinConstants) -> float:
     """Largest t > 0 at which the third weak-dependence tail term equals
     alpha_u / 18.
@@ -176,9 +165,12 @@ def bernstein_term3_root(alpha_u: float, n: int, constants: BernsteinConstants) 
     target = math.log(18.0 / alpha_u)
     log_target = math.log(target)
     u_safe = math.exp(1.0 / (1.0 - constants.gamma))
+    a = constants.gamma * (1.0 - constants.gamma)
 
     def f(u: float) -> float:
-        return _log_tail_exponent(u, n, constants)
+        """log g(u), defined for u > 1; log space dodges the overflow near 1."""
+        return 2.0 * math.log(u) - math.log(constants.c3 * n) + u**a / (
+            constants.c4 * math.log(u) ** constants.gamma)
 
     if f(u_safe) < log_target:
         lo, hi = u_safe, 2.0 * u_safe
@@ -339,8 +331,6 @@ def _padded_band(
     lower support or padded-down mean; the ATE is a difference, so the band
     needs no mapping back, and the reported support is the unanchored one.
     """
-    if not all(map(math.isfinite, astuple(paddings))):
-        raise DegenerateArmError(f"{method} band has a non-finite end")
     support = padded_support(stats, trunc, paddings.eps_treated, paddings.eps_control)
     m1, m0 = stats.mean_treated, stats.mean_control
     c = min(support.lower_treated, support.lower_control,

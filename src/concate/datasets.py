@@ -21,19 +21,13 @@ def write_panel_csv(panel: PanelDataset, path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["unit_id", "time", "outcome", "signal"]
+        columns = [panel.unit, panel.time.tolist(),
+                   [f"{v:.6f}" for v in panel.outcome], [f"{v:.6f}" for v in panel.signal]]
         if panel.group is not None:
             header.append("group")
+            columns.append([g or "" for g in panel.group])
         writer.writerow(header)
-        for i in range(panel.n):
-            row = [
-                panel.unit[i],
-                int(panel.time[i]),
-                f"{panel.outcome[i]:.6f}",
-                f"{panel.signal[i]:.6f}",
-            ]
-            if panel.group is not None:
-                row.append(panel.group[i] or "")
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def make_tipping_demo_panel(seed: int = TIPPING_DEMO_SEED) -> PanelDataset:

@@ -69,6 +69,8 @@ MAX_REPS = 1_000_000
 #: Fewest observations a cell needs: run_cell accepts a draw only when
 #: each arm holds at least 2.
 MIN_OBSERVATIONS = 4
+#: Most observations one cell may draw per replication (n_units * periods).
+MAX_OBSERVATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -287,6 +289,14 @@ def _hits(lower: np.ndarray, upper: np.ndarray, value: float) -> int:
     return int(np.count_nonzero((lower <= value) & (value <= upper)))
 
 
+def _check_cell_size(spec: DgpSpec) -> None:
+    if not MIN_OBSERVATIONS <= spec.n_total <= MAX_OBSERVATIONS:
+        raise ValidationError(
+            f"a cell needs at least {MIN_OBSERVATIONS} observations (2 per arm) and at most "
+            f"{MAX_OBSERVATIONS:,}, got n_units * periods = {spec.n_total}"
+        )
+
+
 def run_cell(
     spec: DgpSpec,
     n_reps: int = 2000,
@@ -319,12 +329,8 @@ def run_cell(
         raise ValidationError(
             f"manski_variant must be one of {MANSKI_VARIANTS}, got {manski_variant!r}"
         )
+    _check_cell_size(spec)
     n_total = spec.n_total
-    if n_total < MIN_OBSERVATIONS:
-        raise ValidationError(
-            f"a cell needs at least {MIN_OBSERVATIONS} observations (2 per arm), "
-            f"got n_units * periods = {n_total}"
-        )
     entropy = int(base_seed)
     seeds = _replication_seeds(entropy, spec)
     block = max(1, BLOCK_ELEMENTS // n_total)
@@ -410,6 +416,8 @@ def coverage_table(
         raise ValidationError(f"workers must be at least 1, got {workers}")
     specs = [DgpSpec(design=design, n_units=n_units, periods=periods)
              for design in designs for periods in periods_list]
+    for spec in specs:
+        _check_cell_size(spec)  # every cell before the first draw
     task = partial(run_cell, n_reps=n_reps, alpha=alpha, base_seed=base_seed,
                    manski_variant=manski_variant)
     workers = min(workers, len(specs), os.cpu_count() or 1)

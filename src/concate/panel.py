@@ -318,8 +318,6 @@ def _load_columns(path: Path, schema: PanelSchema) -> PanelDataset | None:
             if parsed == formats:
                 raise
             data = _read_cells(path, formats, encoding)
-        if data.size == 0:
-            return None
         outcome = _number_column(data[iy])
         signal = _number_column(data[i_s])
     except (ValueError, OverflowError):

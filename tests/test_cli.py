@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import concate
-from concate import cli
+from concate import cli, montecarlo
 from concate.bands import METHODS, BandOptions, compute_band
 from concate.cli import BAND_FLAGS, RNG_DESCRIPTION, main
 from concate.concentration import BernsteinConstants, Truncation
@@ -69,6 +69,14 @@ def demo_csv(tmp_path, shift=0.0):
     path = tmp_path / ("demo.csv" if shift == 0.0 else f"demo{shift:+g}.csv")
     write_panel_csv(dataclasses.replace(demo, outcome=demo.outcome + shift), path)
     return str(path)
+
+
+def constant_csv(tmp_path, scale):
+    """200 one-period units with the outcome -7.3 * scale in every row,
+    written at full precision."""
+    signal = np.random.default_rng(0).uniform(0.0, 100.0, 200).tolist()
+    rows = [f"u{i},1,{-7.3 * scale!r},{s!r}" for i, s in enumerate(signal)]
+    return write(tmp_path, "unit_id,time,outcome,signal\n" + "\n".join(rows) + "\n")
 
 
 class TestDescribe:
@@ -365,6 +373,17 @@ class TestBounds:
         assert proc.returncode == 3
         assert proc.stderr == f"error: {path}: not readable as utf-8 text\n"
 
+    @pytest.mark.parametrize("method", ["manski-max", "naive"])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e100])
+    def test_a_constant_outcome_has_no_band_narrower_than_its_rounding(
+        self, tmp_path, capsys, scale, method
+    ):
+        rc = main(["bounds", constant_csv(tmp_path, scale), "--tau", "50", "--method", method])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            f"error: {method} band is no wider than the rounding of its outcomes\n"
+        )
+
     def test_single_treated_observation_is_degenerate(self, tmp_path, capsys):
         rc = main(["bounds", write(tmp_path, SMALL), "--tau", "80"])
         assert rc == 4
@@ -439,6 +458,23 @@ class TestBandConfig:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_a_config_integer_is_the_flag_float(self, tmp_path):
+        path, cfg = demo_csv(tmp_path), tmp_path / "cfg.json"
+        cfg.write_text('{"c_alpha": 3}')
+        reports = []
+        for name, extra in (("file.json", ["--config", str(cfg)]), ("flag.json", ["--c-alpha", "3"])):
+            out = tmp_path / name
+            assert main(["bounds", path, "--tau", "40", "--json", str(out)] + extra) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1]
+
+    def test_a_config_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"c_alpha": 1' + "0" * 400 + "}")
+        args = ["bounds", str(tmp_path / "absent.csv"), "--tau", "50", "--config", str(cfg)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: c_alpha must be a finite number, got inf\n"
 
     def test_the_variance_mode_flag_is_gone(self, tmp_path, capsys):
         """``naive`` is always the Welch band: no flag selects its variance."""
@@ -1002,6 +1038,14 @@ class TestScan:
             assert main(["scan", path, "--method", method, "--grid", "5:95:1"]) in (0, 4), method
         capsys.readouterr()
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e100])
+    def test_a_constant_outcome_names_no_tipping_threshold(self, tmp_path, capsys, scale):
+        path = constant_csv(tmp_path, scale)
+        for method in METHODS:
+            rc = main(["scan", path, "--method", method, "--grid", "5:95:1"])
+            out = capsys.readouterr().out
+            assert rc == 4 or (rc == 0 and out.endswith("tipping threshold: none detected\n")), method
+
     def test_min_group_flag(self, tmp_path):
         out = tmp_path / "scan.json"
         rc = main(["scan", demo_csv(tmp_path), "--min-group", "300", "--json", str(out)])
@@ -1132,6 +1176,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err and "consecutive draws" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [["--n", "1000001", "--T", "1"], ["--n", "2", "--T", "5,1"]])
+    def test_every_cell_size_is_checked_before_the_first_draw(
+        self, tmp_path, capsys, monkeypatch, shape
+    ):
+        monkeypatch.setattr(montecarlo, "generate", None)
+        monkeypatch.setattr(montecarlo, "_draw", None)
+        out = tmp_path / "cov.csv"
+        assert main(["simulate", "--dgp", "A", "--reps", "5", "--out", str(out), *shape]) == 2
+        err = capsys.readouterr().err
+        assert "at least 4 observations (2 per arm) and at most 1,000,000" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

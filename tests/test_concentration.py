@@ -242,6 +242,15 @@ class TestTruncation:
         with pytest.raises(ValidationError):
             BandOptions(mean_bound_treated=-2.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda big: BandOptions(c_alpha=big),
+        lambda big: Truncation(lower=big),
+        lambda big: BernsteinConstants(c1=big),
+    ], ids=["BandOptions", "Truncation", "BernsteinConstants"])
+    def test_an_integer_beyond_the_float_range_is_a_validation_error(self, build):
+        with pytest.raises(ValidationError, match="must be a finite number, got 1000"):
+            build(10**400)
+
 
 class TestPaddedInterval:
     def test_zero_paddings_recover_the_plugin_region(self):

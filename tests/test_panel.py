@@ -1,5 +1,7 @@
 """Tests for CSV panel ingestion, treatment assignment, and descriptives."""
 
+import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -11,7 +13,7 @@ from scipy import stats as sps
 
 from concate import panel as panel_module
 from concate.bands import compute_band
-from concate.datasets import write_panel_csv
+from concate.datasets import make_null_panel, make_tipping_demo_panel, write_panel_csv
 from concate.errors import ConcateError, DataError, RowError, SchemaError, ValidationError
 from concate.panel import (
     MISSING_MARKERS,
@@ -173,6 +175,19 @@ class TestLoadCsv:
             "f1,2,-2.250000,0.500000,",
         ]
         _assert_same(load_csv(path, PanelSchema(group="group")), panel)
+
+    def test_written_panels_are_pinned(self, tmp_path):
+        null = make_null_panel(30, 3, seed=4)
+        group = np.array([("fin", None, "tech", None)[i % 4] for i in range(null.n)], dtype=object)
+        for panel, digest in (
+            (make_tipping_demo_panel(),
+             "53eef0758b18ffaa93373007557eb3db25c192f6699169b02431977a6b607433"),
+            (dataclasses.replace(null, group=group),
+             "afd50309c1e4b38f7ed6f781c39d87fa5750ff133b5e154f5301437a8264b74a"),
+        ):
+            path = tmp_path / "panel.csv"
+            write_panel_csv(panel, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_infinite_cells_report_their_line(self, tmp_path):
         for column, row in (
