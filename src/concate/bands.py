@@ -122,7 +122,7 @@ def compute_band(
     else:
         support = known_support(truncation.lower, truncation.upper)
         band = delta_method_band(stats, support, alpha_u, method=method)
-        unused = {} if method == "hybrid" else dict.fromkeys(("se_lower", "se_upper", "multiplier"))
+        unused = {} if method == "hybrid" else dict.fromkeys(("se_lower", "se_upper"))
         band = replace(band, paddings=Paddings.zero(), **unused)
     if not (math.isfinite(band.band_lower) and math.isfinite(band.band_upper)):
         raise DegenerateArmError(f"{method} band has a non-finite end")

@@ -185,6 +185,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
     if args.window is not None and args.window < 2:
         raise ValidationError(f"window must be at least 2, got {args.window}")
     panel = _load_panel(args)
+    window = None
     if args.rolling:
         periods = panel.times().size
         if (window := args.window or max(2, periods // 2)) > periods:
@@ -199,13 +200,9 @@ def cmd_describe(args: argparse.Namespace) -> int:
     rows = [[name, str(s.n), *map(_fmt, astuple(s)[1:])] for name, s in variables.items()]
     if args.out:
         with Path(args.out).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(fh).writerows([header, *rows])
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
     print(f"# rows retained: {panel.n}, dropped (missing outcome/signal): {panel.n_dropped}")
 
     if args.rolling:
@@ -218,13 +215,8 @@ def cmd_describe(args: argparse.Namespace) -> int:
                 writer.writerow([t, _fmt(rp), _fmt(rk)])
 
     if args.json:
-        config = {
-            "panel": str(args.panel),
-            "group_filter": args.group_filter,
-            "window": args.window,
-        }
         payload = {
-            "metadata": _metadata("describe", config),
+            "metadata": _metadata("describe", {"group_filter": args.group_filter, "window": window}),
             "n": panel.n,
             "n_dropped": panel.n_dropped,
             "variables": {name: asdict(s) for name, s in variables.items()},

@@ -86,6 +86,11 @@ class Truncation:
         kind = "none" if self.lower is None else "lower" if self.upper is None else "both"
         object.__setattr__(self, "kind", kind)
 
+    @property
+    def sides(self) -> str:
+        """The sides of the DKW support events: "one" when only the lower limit is known."""
+        return "one" if self.kind == "lower" else "two"
+
 
 @dataclass(frozen=True)
 class BandOptions:
@@ -366,12 +371,11 @@ def _iid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandRe
     mean bounds need no variance) and the truncation, and reduces the
     both-limits case to the delta-method band, which needs two.
     """
-    sides = "one" if options.truncation.kind == "lower" else "two"
     t_share = dkw_epsilon(alpha_u, stats.n)
     m1, m0 = _mean_bounds(stats, options)
     paddings = Paddings(
-        eps_treated=dkw_epsilon(alpha_u, stats.n_treated, sides=sides, budget=12.0),
-        eps_control=dkw_epsilon(alpha_u, stats.n_control, sides=sides, budget=12.0),
+        eps_treated=dkw_epsilon(alpha_u, stats.n_treated, sides=options.truncation.sides),
+        eps_control=dkw_epsilon(alpha_u, stats.n_control, sides=options.truncation.sides),
         t_share_treated=t_share,
         t_share_control=t_share,
         t_mean_treated=bernstein_tmu_iid(alpha_u, stats.n_treated, m1, options.c_abs),
@@ -409,8 +413,7 @@ def _mixing_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     with the long-run variance estimated per arm from the serial outcome
     order unless overridden.
     """
-    sides = "one" if options.truncation.kind == "lower" else "two"
-    c_alpha = options.c_alpha
+    sides, c_alpha = options.truncation.sides, options.c_alpha
     v1 = v0 = options.bernstein.long_run_var
     if v1 is None:
         v1 = long_run_variance(stats.treated_serial)

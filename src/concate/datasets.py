@@ -17,7 +17,11 @@ TIPPING_DEMO_SEED = 20240517
 
 
 def write_panel_csv(panel: PanelDataset, path: str | Path) -> None:
-    """Write a panel in the standard CSV layout."""
+    """Write a panel in the standard CSV layout.
+
+    Outcome and signal are written to six decimals, so a panel on a scale
+    below about 1e-6 loses its values.
+    """
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["unit_id", "time", "outcome", "signal"]

@@ -31,11 +31,9 @@ def _hybrid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     and the truncation first, and with both limits known, where nothing
     needs padding, reduces it to the delta-method band on the known support.
     """
-    trunc = options.truncation
-    sides = "one" if trunc.kind == "lower" else "two"
-    c_alpha = options.c_alpha
-    eps1 = dkw_epsilon(alpha_u, stats.n_treated, sides=sides, budget=8.0, c_alpha=c_alpha)
-    eps0 = dkw_epsilon(alpha_u, stats.n_control, sides=sides, budget=8.0, c_alpha=c_alpha)
+    trunc, c_alpha = options.truncation, options.c_alpha
+    eps1 = dkw_epsilon(alpha_u, stats.n_treated, sides=trunc.sides, budget=8.0, c_alpha=c_alpha)
+    eps0 = dkw_epsilon(alpha_u, stats.n_control, sides=trunc.sides, budget=8.0, c_alpha=c_alpha)
     support = padded_support(stats, trunc, eps1, eps0)
     band = delta_method_band(stats, support, alpha_u / 2.0, "hybrid")
     region_lower, region_upper = manski_region(stats, padded_support(stats, trunc, 0.0, 0.0))

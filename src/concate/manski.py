@@ -59,9 +59,6 @@ class BandResult:
     ``region_lower`` / ``region_upper`` is the plug-in identified interval
     built from the method's own unpadded supports (a point for the naive
     method); ``band_lower`` / ``band_upper`` is the confidence band.
-    ``multiplier`` is the normal critical value that scales ``se_lower`` /
-    ``se_upper``; the fully finite-sample ``iid`` and ``mixing`` bands use
-    none.
     """
 
     method: str
@@ -76,11 +73,6 @@ class BandResult:
     se_upper: float | None = None
     support: SupportBounds | None = None
     paddings: Paddings | None = None
-    multiplier: float | None = None
-
-    @property
-    def width(self) -> float:
-        return self.band_upper - self.band_lower
 
     @property
     def excludes_zero(self) -> bool:
@@ -176,12 +168,12 @@ def norm_ppf(p: float) -> float:
 
 
 def wald_interval(lower, upper, se_lower, se_upper, alpha_u):
-    """The interval [lower, upper] widened by z * SE at each end, and z: the
+    """The interval [lower, upper] widened by z * SE at each end, z the
     normal quantile at 1 - alpha_u / 2, so that each end gets half of
     alpha_u (Bonferroni).  Ends and SEs are floats or (B,) arrays; this is
     the one normal-quantile widening of every band and interval."""
     z = norm_ppf(1.0 - alpha_u / 2.0)
-    return lower - z * se_lower, upper + z * se_upper, z
+    return lower - z * se_lower, upper + z * se_upper
 
 
 def wald_band(stats: GroupStats, method: str, alpha_u: float, lower: float, upper: float,
@@ -190,7 +182,7 @@ def wald_band(stats: GroupStats, method: str, alpha_u: float, lower: float, uppe
     """The :class:`BandResult` of the region [lower, upper] widened by
     :func:`wald_interval` at level alpha_u: the one constructor of every
     Wald-type band."""
-    band_lower, band_upper, z = wald_interval(lower, upper, se_lower, se_upper, alpha_u)
+    band_lower, band_upper = wald_interval(lower, upper, se_lower, se_upper, alpha_u)
     return BandResult(
         method=method,
         alpha_u=alpha_u,
@@ -203,7 +195,6 @@ def wald_band(stats: GroupStats, method: str, alpha_u: float, lower: float, uppe
         se_lower=se_lower,
         se_upper=se_upper,
         support=support,
-        multiplier=z,
     )
 
 

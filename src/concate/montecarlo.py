@@ -273,14 +273,14 @@ def _replication_intervals(
     var0 = np.divide(np.einsum("ij,ij->i", sq, in0), n0 - 1,
                      out=np.full(n0.shape, np.nan), where=n0 > 1)
     lower, upper, se, _ = delta_method_interval(mean1, mean0, n1, n0, var1, var0, a, b, a, b)
-    banded_lower, banded_upper, _ = wald_interval(lower, upper, se, se, alpha)
+    banded_lower, banded_upper = wald_interval(lower, upper, se, se, alpha)
     if design == "G":
         return _Intervals(lower, upper, lower, upper, banded_lower, banded_upper,
                           a, b, 0.0, np.zeros(n1.shape))
     epsilon = dkw_epsilon(alpha, n, sides="one" if design == "F" else "two", budget=2.0)
     se_pooled = np.hypot(se, se)
-    hybrid_lower, hybrid_upper, _ = wald_interval(lower - epsilon, upper + epsilon,
-                                                  se_pooled, se_pooled, alpha / 2.0)
+    hybrid_lower, hybrid_upper = wald_interval(lower - epsilon, upper + epsilon,
+                                               se_pooled, se_pooled, alpha / 2.0)
     return _Intervals(lower, upper, hybrid_lower, hybrid_upper,
                       banded_lower, banded_upper, a, b, epsilon, se)
 

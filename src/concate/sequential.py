@@ -123,13 +123,12 @@ class ThresholdResult:
     alpha_u: float
     n_treated: int
     n_control: int
-    skipped: bool
     reason: str | None
     band: BandResult | None
 
     @property
-    def excludes_zero(self) -> bool | None:
-        return None if self.band is None else self.band.excludes_zero
+    def skipped(self) -> bool:
+        return self.band is None
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,6 @@ def scan(
                 alpha_u=alpha_u,
                 n_treated=n1,
                 n_control=n0,
-                skipped=band is None,
                 reason=reason,
                 band=band,
             )

@@ -135,6 +135,46 @@ class TestDescribe:
         assert rc == 0
         assert json.loads(out.read_text())["window"] == window
 
+    def describe_json(self, tmp_path, panel, *flags):
+        """The bytes of ``describe --json`` on ``panel`` with ``flags``."""
+        report = tmp_path / "report.json"
+        assert main(["describe", panel, *flags, "--json", str(report)]) == 0
+        return report.read_bytes()
+
+    def test_config_hash_does_not_depend_on_the_spelling_of_the_path(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        demo_csv(tmp_path)
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path)
+        spellings = ["demo.csv", "./a/../demo.csv", str(tmp_path / "demo.csv")]
+        reports = {self.describe_json(tmp_path, path) for path in spellings}
+        assert len(reports) == 1
+        capsys.readouterr()
+
+    def test_the_default_and_an_explicit_window_of_two_report_alike(self, tmp_path, capsys):
+        """The demo panel has four periods, so the default window is 2."""
+        path, rolling = demo_csv(tmp_path), ["--rolling", str(tmp_path / "rolling.csv")]
+        default = self.describe_json(tmp_path, path, *rolling)
+        assert self.describe_json(tmp_path, path, *rolling, "--window", "2") == default
+        capsys.readouterr()
+
+    def test_a_rolling_run_and_a_plain_run_hash_apart(self, tmp_path, capsys):
+        path = demo_csv(tmp_path)
+
+        def config_hash(*flags):
+            return json.loads(self.describe_json(tmp_path, path, *flags))["metadata"]["config_hash"]
+
+        rolling = config_hash("--rolling", str(tmp_path / "rolling.csv"))
+        assert config_hash() != rolling
+        capsys.readouterr()
+
+    def test_a_window_without_rolling_is_not_hashed(self, tmp_path, capsys):
+        path = demo_csv(tmp_path)
+        plain = self.describe_json(tmp_path, path)
+        assert self.describe_json(tmp_path, path, "--window", "3") == plain
+        capsys.readouterr()
+
     def test_default_window_of_a_three_period_panel_is_two(self, tmp_path, capsys):
         """Half of three periods is one, which is not a window."""
         path = tmp_path / "short.csv"
@@ -169,6 +209,19 @@ class TestDescribe:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "371ea0e464b8a6580660ab672c898733d47869a6795523c0fcfd6b46f7159c2f"
         )
+
+    @pytest.mark.parametrize(("to_file", "sha256"), [
+        (False, "6889de68c2eedc043d87137c77ea864160fe88ecf47c9b095cbd63cb62268442"),
+        (True, "01046e1e53f9018e47404215961280f2ad2cea47776aa8565a672b9010e236df"),
+    ], ids=["stdout", "out"])
+    def test_summary_is_pinned(self, tmp_path, capsys, to_file, sha256):
+        """The demo's summary table, on stdout (with the counts line) or in
+        the ``--out`` CSV; recorded before the two were written by one writer."""
+        out = tmp_path / "summary.csv"
+        flags = ["--out", str(out)] if to_file else []
+        assert main(["describe", demo_csv(tmp_path), *flags]) == 0
+        written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert hashlib.sha256(written).hexdigest() == sha256
 
     @pytest.mark.parametrize(("flags", "message"), [
         ((), "window 2 (the default, half the periods and at least 2) exceeds the 1 "),
@@ -577,6 +630,22 @@ class TestTruncationPins:
             "bounds", demo_csv(tmp_path), "--tau", "50", "--method", method,
             "--truncation-lower", "-5", *upper, "--json", str(report),
         ])
+        assert rc == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(("method", "json_sha256"), [
+        ("naive", "581a3b71c8bc196530efcf39e94eb7ee40041993b94617fceb86d3576451789d"),
+        ("manski-max", "d1054c1f09aad49c782cc5d84a675222d8d6a712c1b28ba15e405d7166e8da9c"),
+        ("manski-q05", "c505afdc37bb665dffdf4e4607784bc78d6d2eb1c67bc3ea0e98639f389aca7c"),
+        ("manski-q10", "3174395058110b42d1e62ce3cb0e653fe8e233cae181b1954ed89c1eb84c1292"),
+    ])
+    def test_wald_band_bounds_json_is_pinned(self, tmp_path, capsys, method, json_sha256):
+        """The four methods that take no truncation, at the demo's jump;
+        recorded before ``BandResult`` lost its normal multiplier."""
+        report = tmp_path / "bounds.json"
+        rc = main(["bounds", demo_csv(tmp_path), "--tau", "55", "--method", method,
+                   "--json", str(report)])
         assert rc == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
         capsys.readouterr()

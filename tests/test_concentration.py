@@ -335,14 +335,15 @@ class TestIidBand:
             z = rng.random(n) < 0.5
             band = compute_band(split_arms(y, z), "iid", 0.05, config)
             lower, upper = manski_region(split_arms(y, z), extrema_support(split_arms(y, z)))
-            widths.append(band.width - (upper - lower))
+            widths.append(band.band_upper - band.band_lower - (upper - lower))
         assert widths[0] > widths[1] > widths[2]
         assert widths[2] < 0.2
 
     def test_band_widens_as_alpha_shrinks(self):
         rng = np.random.default_rng(100)
         s = random_stats(rng)
-        w = [compute_band(s, "iid", a).width for a in (0.2, 0.1, 0.05, 0.01)]
+        bands = [compute_band(s, "iid", a) for a in (0.2, 0.1, 0.05, 0.01)]
+        w = [band.band_upper - band.band_lower for band in bands]
         assert all(a < b for a, b in zip(w, w[1:]))
 
     def test_lower_known_uses_the_limit_unpadded(self):
@@ -418,20 +419,17 @@ class TestMixingBand:
     def test_width_increases_with_dependence_constant(self):
         rng = np.random.default_rng(106)
         s = random_stats(rng, arm_min=5)
-        widths = [
-            compute_band(s, "mixing", 0.05, BandOptions(c_alpha=c)).width
-            for c in (0.0, 0.5, 1.0, 2.0)
-        ]
+        bands = [compute_band(s, "mixing", 0.05, BandOptions(c_alpha=c))
+                 for c in (0.0, 0.5, 1.0, 2.0)]
+        widths = [band.band_upper - band.band_lower for band in bands]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
     def test_wider_than_iid_on_the_same_data(self):
         rng = np.random.default_rng(107)
         for _ in range(25):
             s = random_stats(rng, arm_min=5)
-            assert (
-                compute_band(s, "mixing", 0.05).width
-                > compute_band(s, "iid", 0.05).width
-            )
+            mixing, iid = (compute_band(s, method, 0.05) for method in ("mixing", "iid"))
+            assert mixing.band_upper - mixing.band_lower > iid.band_upper - iid.band_lower
 
     def test_long_run_variance_override(self):
         rng = np.random.default_rng(108)

@@ -191,9 +191,10 @@ class TestNaiveEstimate:
         est = compute_band(s, "naive", 0.05)
         assert est.region_lower == -1.0
         assert abs(est.se_lower - math.sqrt(2.0)) < 1e-12
-        assert abs(est.multiplier - 1.959964) < 1e-6
-        assert abs(est.band_lower - (-1.0 - est.multiplier * est.se_lower)) < 1e-12
-        assert abs(est.band_upper - (-1.0 + est.multiplier * est.se_lower)) < 1e-12
+        z = norm_ppf(1.0 - 0.05 / 2.0)
+        assert abs(z - 1.959964) < 1e-6
+        assert est.band_lower == est.region_lower - z * est.se_lower
+        assert est.band_upper == est.region_upper + z * est.se_lower
 
     def test_delta_equals_weighted_sum(self):
         rng = np.random.default_rng(60)
@@ -238,4 +239,6 @@ class TestNaiveEstimate:
         s = stats_from([0.0, 2.0], [1.0, 3.0])
         for alpha in (0.01, 0.05, 0.2):
             est = compute_band(s, "naive", alpha)
-            assert est.multiplier == norm_ppf(1.0 - alpha / 2.0)
+            z = norm_ppf(1.0 - alpha / 2.0)
+            assert est.band_lower == est.region_lower - z * est.se_lower
+            assert est.band_upper == est.region_upper + z * est.se_upper

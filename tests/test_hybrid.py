@@ -36,9 +36,13 @@ def random_stats(rng, n_lo=20, n_hi=200, positive=False):
 class TestHybridBand:
     def test_multiplier(self):
         rng = np.random.default_rng(120)
-        band = compute_band(random_stats(rng), "hybrid", 0.05)
-        assert abs(band.multiplier - 2.241403) < 1e-6
-        assert band.multiplier == norm_ppf(1.0 - 0.05 / 4.0)
+        s = random_stats(rng)
+        band = compute_band(s, "hybrid", 0.05)
+        z = norm_ppf(1.0 - 0.05 / 4.0)
+        assert abs(z - 2.241403) < 1e-6
+        padded_lower, padded_upper = manski_region(s, band.support)
+        assert band.band_lower == padded_lower - z * band.se_lower
+        assert band.band_upper == padded_upper + z * band.se_upper
 
     def test_assembly_identity(self):
         rng = np.random.default_rng(121)
@@ -46,9 +50,9 @@ class TestHybridBand:
             s = random_stats(rng)
             band = compute_band(s, "hybrid", 0.05)
             padded_lower, padded_upper = manski_region(s, band.support)
-            z = band.multiplier
-            assert abs(band.band_lower - (padded_lower - z * band.se_lower)) < 1e-12
-            assert abs(band.band_upper - (padded_upper + z * band.se_upper)) < 1e-12
+            z = norm_ppf(1.0 - 0.05 / 4.0)
+            assert band.band_lower == padded_lower - z * band.se_lower
+            assert band.band_upper == padded_upper + z * band.se_upper
 
     def test_per_endpoint_ses_use_the_padded_support(self):
         rng = np.random.default_rng(122)
@@ -87,23 +91,23 @@ class TestHybridBand:
             s = split_arms(y, z)
             band = compute_band(s, "hybrid", 0.05)
             lower, upper = manski_region(s, extrema_support(s))
-            gaps.append(band.width - (upper - lower))
+            gaps.append(band.band_upper - band.band_lower - (upper - lower))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.1
 
     def test_width_monotone_in_c_alpha(self):
         rng = np.random.default_rng(126)
         s = random_stats(rng)
-        widths = [
-            compute_band(s, "hybrid", 0.05, BandOptions(c_alpha=c)).width
-            for c in (0.0, 0.5, 1.0, 2.0)
-        ]
+        bands = [compute_band(s, "hybrid", 0.05, BandOptions(c_alpha=c))
+                 for c in (0.0, 0.5, 1.0, 2.0)]
+        widths = [band.band_upper - band.band_lower for band in bands]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
     def test_width_monotone_as_alpha_shrinks(self):
         rng = np.random.default_rng(127)
         s = random_stats(rng)
-        widths = [compute_band(s, "hybrid", a).width for a in (0.2, 0.1, 0.05, 0.01)]
+        bands = [compute_band(s, "hybrid", a) for a in (0.2, 0.1, 0.05, 0.01)]
+        widths = [band.band_upper - band.band_lower for band in bands]
         assert all(a < b for a, b in zip(widths, widths[1:]))
 
     def test_lower_known_halves_the_budget_and_skips_lower_padding(self):
@@ -134,7 +138,9 @@ class TestHybridBand:
         band = compute_band(s, "hybrid", 0.05, options)
         assert band.support.source == "known"
         # the reduction inherits the delta-method budget, not alpha_u / 4
-        assert band.multiplier == norm_ppf(1.0 - 0.05 / 2.0)
+        z = norm_ppf(1.0 - 0.05 / 2.0)
+        assert band.band_lower == band.region_lower - z * band.se_lower
+        assert band.band_upper == band.region_upper + z * band.se_upper
         assert band.support.source == "known"
 
     def test_validation(self):
@@ -173,12 +179,14 @@ def test_hybrid_band_is_pinned_across_truncations_c_alpha_and_levels():
     # re-recorded when the delta-method SE became one closed form: SEs moved
     # by at most 55 ulps and band ends by at most 2; no error changed.  Then
     # again when the arm-size errors came to name the method: 81 outcomes
-    # went from "hybrid band needs ..." to "hybrid needs ...", no value moved
+    # went from "hybrid band needs ..." to "hybrid needs ...", no value moved.
+    # Then again when BandResult lost its multiplier: every band's repr lost
+    # ", multiplier=...", no other character changed
     digest = hashlib.sha256()
     for outcome in pinned_outcomes():
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == (
-        "880b47e7bf348cad88f4e7e065733e3ee02f92db018c4fd2004291de481dda17"
+        "6545d49585beb4b41ee5ebfbceceff5fcd9f8f34ca11d18c1f35d797c097e648"
     )
 
 

@@ -12,6 +12,7 @@ from concate.manski import (
     extrema_support,
     known_support,
     manski_region,
+    norm_ppf,
     trimmed_support,
 )
 from delta_oracle import bound_gradients, sampling_covariance
@@ -202,7 +203,10 @@ class TestDeltaMethodBand:
     def test_multiplier(self):
         s = stats_from([0.0, 2.0, 4.0], [1.0, 3.0])
         band = delta_method_band(s, extrema_support(s), 0.05)
-        assert abs(band.multiplier - 1.959964) < 1e-6
+        z = norm_ppf(1.0 - 0.05 / 2.0)
+        assert abs(z - 1.959964) < 1e-6
+        assert band.band_lower == band.region_lower - z * band.se_lower
+        assert band.band_upper == band.region_upper + z * band.se_upper
 
     def test_constant_outcomes_give_zero_se(self):
         s = stats_from([2.0, 2.0], [2.0, 2.0, 2.0])

@@ -287,7 +287,6 @@ class TestScan:
         for row in res.rows:
             if row.skipped:
                 assert row.band is None
-                assert row.excludes_zero is None
 
     def test_skip_reason_format(self):
         panel = make_tipping_demo_panel()
