@@ -30,14 +30,14 @@ from .manski import (
     extrema_support,
     known_support,
     trimmed_support,
-    wald_band,
+    wald_interval,
 )
 
 Builder = Callable[[GroupStats, float, BandOptions], BandResult]
 
 
 def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
-    """Difference in means, widened by :func:`concate.manski.wald_band` at
+    """Difference in means, widened by :func:`concate.manski.wald_interval` at
     level alpha_u with the Welch SE sqrt(var1/n1 + var0/n0).
 
     The region is the point estimate.  The variance assumes independent
@@ -46,16 +46,16 @@ def _naive_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Band
     """
     delta = stats.mean_treated - stats.mean_control
     se = math.sqrt(stats.var_treated / stats.n_treated + stats.var_control / stats.n_control)
-    return wald_band(stats, "naive", alpha_u, delta, delta, se, se)
+    return BandResult(delta, delta, *wald_interval(delta, delta, se, se, alpha_u), se, se)
 
 
-def _manski_band(method: str, trim: float | None) -> Builder:
+def _manski_band(trim: float | None) -> Builder:
     """The delta-method band on the empirical extrema (``trim`` None) or on
     the supports trimmed to the ``trim`` and 1 - ``trim`` quantiles."""
 
     def build(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandResult:
         support = extrema_support(stats) if trim is None else trimmed_support(stats, trim)
-        return delta_method_band(stats, support, alpha_u, method=method)
+        return delta_method_band(stats, support, alpha_u)
 
     return build
 
@@ -63,9 +63,9 @@ def _manski_band(method: str, trim: float | None) -> Builder:
 #: Method name -> builder(stats, alpha_u, options).
 BUILDERS: dict[str, Builder] = {
     "naive": _naive_band,
-    "manski-max": _manski_band("manski-max", None),
-    "manski-q05": _manski_band("manski-q05", 0.05),
-    "manski-q10": _manski_band("manski-q10", 0.10),
+    "manski-max": _manski_band(None),
+    "manski-q05": _manski_band(0.05),
+    "manski-q10": _manski_band(0.10),
     "iid": _iid_band,
     "mixing": _mixing_band,
     "hybrid": _hybrid_band,
@@ -121,7 +121,7 @@ def compute_band(
         band = BUILDERS[method](stats, alpha_u, options)
     else:
         support = known_support(truncation.lower, truncation.upper)
-        band = delta_method_band(stats, support, alpha_u, method=method)
+        band = delta_method_band(stats, support, alpha_u)
         unused = {} if method == "hybrid" else dict.fromkeys(("se_lower", "se_upper"))
         band = replace(band, paddings=Paddings.zero(), **unused)
     if not (math.isfinite(band.band_lower) and math.isfinite(band.band_upper)):

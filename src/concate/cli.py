@@ -230,12 +230,12 @@ def cmd_describe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # bounds
 
-def _band_payload(band) -> dict:
+def _band_payload(band, method: str, alpha_u: float, n_treated: int, n_control: int) -> dict:
     payload = {
-        "method": band.method,
-        "alpha_u": band.alpha_u,
-        "n_treated": band.n_treated,
-        "n_control": band.n_control,
+        "method": method,
+        "alpha_u": alpha_u,
+        "n_treated": n_treated,
+        "n_control": n_control,
         "region": {"lower": band.region_lower, "upper": band.region_upper},
         "band": {"lower": band.band_lower, "upper": band.band_upper},
         "excludes_zero": band.excludes_zero,
@@ -256,9 +256,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     panel = _load_panel(args)
     stats = group_stats(panel, assign_treatment(panel, args.tau))
     band = compute_band(stats, args.method, args.alpha, options)
-    print(
-        f"threshold {args.tau:g}: n_treated={band.n_treated} n_control={band.n_control}"
-    )
+    print(f"threshold {args.tau:g}: n_treated={stats.n_treated} n_control={stats.n_control}")
     print(f"identified interval: [{band.region_lower:.6g}, {band.region_upper:.6g}]")
     print(
         f"{args.method} band (alpha={args.alpha:g}): "
@@ -266,7 +264,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     )
     print(f"excludes zero: {'yes' if band.excludes_zero else 'no'}")
     if args.json:
-        payload = {"metadata": _metadata("bounds", resolved), "result": _band_payload(band)}
+        result = _band_payload(band, args.method, args.alpha, stats.n_treated, stats.n_control)
+        payload = {"metadata": _metadata("bounds", resolved), "result": result}
         _write_json(args.json, payload)
     return EXIT_OK
 
@@ -301,7 +300,8 @@ def _scan_payload(result: ScanResult) -> dict:
         if row.skipped:
             entry["reason"] = row.reason
         else:
-            entry["band"] = _band_payload(row.band)
+            entry["band"] = _band_payload(row.band, result.method, row.alpha_u,
+                                          row.n_treated, row.n_control)
         rows.append(entry)
     return {
         "method": result.method,

@@ -324,9 +324,7 @@ def padded_support(
     )
 
 
-def _padded_band(
-    stats: GroupStats, method: str, alpha_u: float, trunc: Truncation, paddings: Paddings
-) -> BandResult:
+def _padded_band(stats: GroupStats, trunc: Truncation, paddings: Paddings) -> BandResult:
     """The six-event band: ``padded_interval`` on the supports widened by the
     support paddings, reported with the region on the unpadded supports
     (zero paddings, so a known lower limit still replaces the lower ones).
@@ -347,10 +345,6 @@ def _padded_band(
     )
     region_lower, region_upper = manski_region(stats, padded_support(stats, trunc, 0.0, 0.0))
     return BandResult(
-        method=method,
-        alpha_u=alpha_u,
-        n_treated=stats.n_treated,
-        n_control=stats.n_control,
         region_lower=region_lower,
         region_upper=region_upper,
         band_lower=lower,
@@ -381,7 +375,7 @@ def _iid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> BandRe
         t_mean_treated=bernstein_tmu_iid(alpha_u, stats.n_treated, m1, options.c_abs),
         t_mean_control=bernstein_tmu_iid(alpha_u, stats.n_control, m0, options.c_abs),
     )
-    return _padded_band(stats, "iid", alpha_u, options.truncation, paddings)
+    return _padded_band(stats, options.truncation, paddings)
 
 
 def long_run_variance(values: np.ndarray) -> float:
@@ -426,4 +420,4 @@ def _mixing_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
         t_mean_treated=max(bernstein_mixing_terms(alpha_u, stats.n_treated, options.bernstein, v1)),
         t_mean_control=max(bernstein_mixing_terms(alpha_u, stats.n_control, options.bernstein, v0)),
     )
-    return _padded_band(stats, "mixing", alpha_u, options.truncation, paddings)
+    return _padded_band(stats, options.truncation, paddings)

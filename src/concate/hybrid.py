@@ -25,8 +25,8 @@ def _hybrid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     Support padding: eps_k = (1 + 4 c_alpha) * sqrt(2 log(8 / alpha_u) /
     n_k), halved to an 8 -> 4 budget when the lower limit is known (then
     the lower supports are the known limit, unpadded).  The band is the
-    delta-method band on the padded supports at alpha_u / 2, reported at
-    alpha_u with the region on the unpadded supports.
+    delta-method band on the padded supports at alpha_u / 2, with its
+    region on the unpadded supports.
     :func:`concate.bands.compute_band` checks for two observations in each arm
     and the truncation first, and with both limits known, where nothing
     needs padding, reduces it to the delta-method band on the known support.
@@ -35,11 +35,10 @@ def _hybrid_band(stats: GroupStats, alpha_u: float, options: BandOptions) -> Ban
     eps1 = dkw_epsilon(alpha_u, stats.n_treated, sides=trunc.sides, budget=8.0, c_alpha=c_alpha)
     eps0 = dkw_epsilon(alpha_u, stats.n_control, sides=trunc.sides, budget=8.0, c_alpha=c_alpha)
     support = padded_support(stats, trunc, eps1, eps0)
-    band = delta_method_band(stats, support, alpha_u / 2.0, "hybrid")
+    band = delta_method_band(stats, support, alpha_u / 2.0)
     region_lower, region_upper = manski_region(stats, padded_support(stats, trunc, 0.0, 0.0))
     return replace(
         band,
-        alpha_u=alpha_u,
         region_lower=region_lower,
         region_upper=region_upper,
         paddings=Paddings(eps1, eps0, 0.0, 0.0, 0.0, 0.0),

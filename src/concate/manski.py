@@ -58,13 +58,12 @@ class BandResult:
 
     ``region_lower`` / ``region_upper`` is the plug-in identified interval
     built from the method's own unpadded supports (a point for the naive
-    method); ``band_lower`` / ``band_upper`` is the confidence band.
+    method); ``band_lower`` / ``band_upper`` is the confidence band.  The
+    method, the level and the arm sizes are not stored: they are
+    :func:`concate.bands.compute_band`'s arguments, held by the scan's
+    ``ThresholdResult`` and written by the reports.
     """
 
-    method: str
-    alpha_u: float
-    n_treated: int
-    n_control: int
     region_lower: float
     region_upper: float
     band_lower: float
@@ -176,42 +175,15 @@ def wald_interval(lower, upper, se_lower, se_upper, alpha_u):
     return lower - z * se_lower, upper + z * se_upper
 
 
-def wald_band(stats: GroupStats, method: str, alpha_u: float, lower: float, upper: float,
-              se_lower: float, se_upper: float,
-              support: SupportBounds | None = None) -> BandResult:
-    """The :class:`BandResult` of the region [lower, upper] widened by
-    :func:`wald_interval` at level alpha_u: the one constructor of every
-    Wald-type band."""
-    band_lower, band_upper = wald_interval(lower, upper, se_lower, se_upper, alpha_u)
-    return BandResult(
-        method=method,
-        alpha_u=alpha_u,
-        n_treated=stats.n_treated,
-        n_control=stats.n_control,
-        region_lower=lower,
-        region_upper=upper,
-        band_lower=band_lower,
-        band_upper=band_upper,
-        se_lower=se_lower,
-        se_upper=se_upper,
-        support=support,
-    )
-
-
-def delta_method_band(
-    stats: GroupStats,
-    support: SupportBounds,
-    alpha_u: float,
-    method: str = "delta-method",
-) -> BandResult:
+def delta_method_band(stats: GroupStats, support: SupportBounds, alpha_u: float) -> BandResult:
     """Simultaneous band for the identified interval via the delta method:
     :func:`delta_method_interval` on ``support``, widened by
-    :func:`wald_band` at level alpha_u.  ``method`` names the result.
-    The arm variances need two observations in each arm, as
-    :func:`concate.bands.compute_band` checks.
+    :func:`wald_interval` at level alpha_u.  The arm variances need two
+    observations in each arm, as :func:`concate.bands.compute_band` checks.
     """
     lower, upper, se_lower, se_upper = map(float, delta_method_interval(
         stats.mean_treated, stats.mean_control, stats.n_treated, stats.n_control,
         stats.var_treated, stats.var_control, support.lower_treated, support.upper_treated,
         support.lower_control, support.upper_control))
-    return wald_band(stats, method, alpha_u, lower, upper, se_lower, se_upper, support)
+    return BandResult(lower, upper, *wald_interval(lower, upper, se_lower, se_upper, alpha_u),
+                      se_lower, se_upper, support)

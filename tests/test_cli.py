@@ -572,15 +572,18 @@ ARM_SIZES = (0, 1, 2, 3, 30)
 
 def band_outcome(n1, n0, method, truncation):
     """The 12 result fields the bands reported before the one result type,
-    or the exception class and message."""
+    the method, the level and the arm sizes taken from the call, or the
+    exception class and message."""
     try:
         options = BandOptions(truncation=truncation)
-        band = compute_band(truncation_split(n1, n0), method, 0.05, options)
+        stats = truncation_split(n1, n0)
+        band = compute_band(stats, method, 0.05, options)
     except ConcateError as exc:
         return f"{type(exc).__name__}: {exc}"
-    fields = {name: getattr(band, name) for name in (
-        "method", "alpha_u", "n_treated", "n_control", "region_lower", "region_upper",
-        "band_lower", "band_upper", "se_lower", "se_upper")}
+    fields = {"method": method, "alpha_u": 0.05, "n_treated": stats.n_treated,
+              "n_control": stats.n_control}
+    fields |= {name: getattr(band, name) for name in (
+        "region_lower", "region_upper", "band_lower", "band_upper", "se_lower", "se_upper")}
     for name in ("support", "paddings"):
         value = getattr(band, name)
         fields[name] = None if value is None else asdict(value)
@@ -1095,6 +1098,31 @@ class TestScan:
                 "--json", str(report)]
         assert main(argv) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha256
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(("method", "body_sha256"), [
+        ("naive", "742037001aea226cc204b7867bef0f217001ff94a090c7984e790a9f245d3125"),
+        ("manski-max", "a266d34bf40f698bbc1007672d0d1fc7bb4ba137781a0e2e291fc073d15be61d"),
+        ("manski-q05", "eb543a7d8fd0820d346096f159e892c2bc1771f569e7b9b601f7a1de51f5c6cf"),
+        ("manski-q10", "3368c919df5ec2b6d0a9c12462ec63c9714eda26056e90aa14ec1e6ad33b7c0c"),
+        ("iid", "ce5607f5454a69a84d717a4a877ba1f251786c3739dd750b702fb8a5e693e24d"),
+        ("mixing", "3ee810259bf184cba33cab41c5c406cad125b914c0b78e9a69a5f0566eff0eec"),
+        ("hybrid", "26765e6d479cb1302be6f20afa2b1dc904c9fe887b5eb1a1ef3e7e298af8f15a"),
+    ])
+    def test_the_report_body_of_a_fifty_look_null_scan_is_pinned(
+        self, tmp_path, capsys, method, body_sha256
+    ):
+        """Every method on a 1,200-row null panel over 50 looks, whose
+        smallest arm holds 9 rows: arm sizes and per-look levels the demo's
+        19 looks do not reach.  The digest is of the report without its ``metadata``, so
+        it pins what each look reports, not how the run was configured."""
+        path, report = tmp_path / "null.csv", tmp_path / "scan.json"
+        write_panel_csv(make_null_panel(300, 4, seed=3), path)
+        assert main(["scan", str(path), "--method", method, "--grid", "1:99:2",
+                     "--min-group", "2", "--json", str(report)]) == 0
+        body = json.loads(report.read_text())
+        del body["metadata"]
+        assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == body_sha256
         capsys.readouterr()
 
     @pytest.mark.parametrize("level", ["1000000.0", "-0.3", "-7.3"])

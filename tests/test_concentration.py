@@ -319,7 +319,6 @@ class TestIidBand:
         m1 = float(np.max(np.abs(s.treated_serial - s.mean_treated)))
         assert p.t_mean_treated == bernstein_tmu_iid(0.05, s.n_treated, m1)
         assert band.support.upper_treated == s.max_treated + p.eps_treated
-        assert band.method == "iid"
 
     def test_explicit_mean_bounds_override_the_data(self):
         s = stats_from([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -459,7 +458,6 @@ class TestMixingBand:
         config = BandOptions(truncation=Truncation(lower=lo, upper=hi))
         band = compute_band(s, "mixing", 0.05, config)
         assert band.support.source == "known"
-        assert band.method == "mixing"
 
     def test_needs_two_per_arm(self):
         s = stats_from([1.0], [2.0, 3.0])

@@ -181,12 +181,15 @@ def test_hybrid_band_is_pinned_across_truncations_c_alpha_and_levels():
     # again when the arm-size errors came to name the method: 81 outcomes
     # went from "hybrid band needs ..." to "hybrid needs ...", no value moved.
     # Then again when BandResult lost its multiplier: every band's repr lost
-    # ", multiplier=...", no other character changed
+    # ", multiplier=...", no other character changed.  Then again when it lost
+    # the method, the level and the arm sizes: each of the 5,319 band reprs
+    # lost "method='hybrid', alpha_u=..., n_treated=..., n_control=..., " and
+    # the 81 errors stayed as they were
     digest = hashlib.sha256()
     for outcome in pinned_outcomes():
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == (
-        "6545d49585beb4b41ee5ebfbceceff5fcd9f8f34ca11d18c1f35d797c097e648"
+        "fa08729dad93926cf3dfef0839c8fa08fc6c0de439c13528cfd4c07b3c573a66"
     )
 
 

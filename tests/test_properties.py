@@ -214,8 +214,8 @@ def knobs(draw, kind, y):
     )
 
 
-def assert_matches_the_matrix_form(stats, band):
-    """Each delta-method SE of ``band`` against sqrt(g' S g) of the frozen
+def assert_matches_the_matrix_form(stats, band, method):
+    """Each delta-method SE of ``method``'s ``band`` against sqrt(g' S g) of the frozen
     matrix form.  Both forms round g' S g; its share term carries an error
     of a few ulps of (p1 p0 / N) M^2, where M is the sum of the magnitudes
     that enter g (the arm means and that end's two support limits), and
@@ -244,7 +244,7 @@ def assert_matches_the_matrix_form(stats, band):
     for se, end, lower, upper in ends:
         oracle = scale * endpoint_se(cov, gradients[end])
         m = abs(stats.mean_treated) + abs(stats.mean_control) + abs(lower) + abs(upper)
-        assert abs(se - oracle) <= 1e-7 * (se + share_sd * m), (band.method, end, se, oracle)
+        assert abs(se - oracle) <= 1e-7 * (se + share_sd * m), (method, end, se, oracle)
 
 
 @pytest.mark.parametrize("kind", ["none", "lower", "both"])
@@ -281,7 +281,7 @@ def test_every_band_is_finite_or_a_concate_error(kind, data):
         if band.support is None:  # naive: a Wald SE, not the delta method's
             continue
         if band.se_lower is not None:
-            assert_matches_the_matrix_form(stats, band)
+            assert_matches_the_matrix_form(stats, band, method)
         elif band.support.source == "known":
             # iid and mixing report no SE of the reduction: hybrid's carries it
             reduced = compute_band(stats, "hybrid", alpha_u, options)

@@ -32,10 +32,6 @@ def random_stats(rng, n_lo=30, n_hi=200, arm_min=5):
 
 def point_result(band_lower, band_upper):
     return BandResult(
-        method="naive",
-        alpha_u=0.05,
-        n_treated=5,
-        n_control=5,
         region_lower=band_lower,
         region_upper=band_upper,
         band_lower=band_lower,
