@@ -144,6 +144,7 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
     Precedence: flags beat the file, the file beats the defaults, which
     are BandOptions', BernsteinConstants' and Truncation's own.  Every
     value is checked when the options are built, before any panel is read.
+    The dict returned with them is the configuration the reports hash.
     """
     if not 0.0 < args.alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {args.alpha}")
@@ -175,7 +176,8 @@ def _resolve_band_options(args: argparse.Namespace) -> tuple[BandOptions, dict]:
         truncation=Truncation(**truncation),
         **knobs,
     )
-    return options, {"method": args.method, "alpha": args.alpha, **asdict(options)}
+    return options, {"method": args.method, "alpha": args.alpha,
+                     "group_filter": args.group_filter, **asdict(options)}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +322,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     schedule = None
     if args.alpha_schedule is not None:
         schedule = _comma_list(args.alpha_schedule, float, "--alpha-schedule", "numbers")
-    resolved.update({"grid": args.grid, "min_group": args.min_group, "schedule": schedule})
+    resolved.update({"grid": list(grid.taus), "min_group": args.min_group, "schedule": schedule})
     panel = _load_panel(args)
     result = scan(
         panel,

@@ -529,6 +529,26 @@ class TestBandConfig:
         assert main(args) == 2
         assert capsys.readouterr().err == "error: c_alpha must be a finite number, got inf\n"
 
+    @pytest.mark.parametrize("command", [["scan"], ["bounds", "--tau", "55"]])
+    def test_the_group_filter_is_hashed(self, tmp_path, capsys, command):
+        """The demo's rows labelled ``growth`` and ``cyclical`` in turn: two
+        filters run two sub-panels and hash apart, one filter twice writes
+        one report, as for ``describe``."""
+        demo = make_tipping_demo_panel()
+        group = np.array(["growth", "cyclical"] * (demo.n // 2), dtype=object)
+        path = tmp_path / "grouped.csv"
+        write_panel_csv(dataclasses.replace(demo, group=group), path)
+        reports = []
+        for i, name in enumerate(("growth", "cyclical", "growth")):
+            report = tmp_path / f"report{i}.json"
+            assert main([command[0], str(path), *command[1:], "--group-col", "group",
+                         "--group-filter", name, "--json", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[2]
+        first, second = (json.loads(r)["metadata"]["config_hash"] for r in reports[:2])
+        assert first != second
+        capsys.readouterr()
+
     def test_the_variance_mode_flag_is_gone(self, tmp_path, capsys):
         """``naive`` is always the Welch band: no flag selects its variance."""
         with pytest.raises(SystemExit) as err:
@@ -611,20 +631,22 @@ class TestTruncationPins:
     re-recorded when those two bands came to evaluate the paper's formula
     from the data's own origin: both bounds reports still include zero, and
     14 table cases whose band escaped its region (or was inverted) and so
-    excluded zero now contain it; no error changed."""
+    excluded zero now contain it; no error changed.  The JSON digests were
+    re-recorded again when the configuration hash took in the group filter:
+    only ``metadata.config_hash`` moved."""
 
     @pytest.mark.parametrize(
         ("method", "upper", "json_sha256"),
         [
-            ("iid", [], "161b844372b856504dc696d483f5afd278573f79eabfa8f264cf431f569fcc8b"),
+            ("iid", [], "320d3e3afb6ab92a09b329167ecdc768389c331c853faac507a1aa3fd834429f"),
             ("iid", ["--truncation-upper", "40"],
-             "983e41b333e7709fc5969ab886c5e7af33c0903cf4e0faa1d6f382aaea3dc953"),
-            ("mixing", [], "ff880ededf1515f1ee546c476188792aea4e31d6c901619ec946364a08b23e2d"),
+             "4aac9cbeb06b38bacba9ad7f845561440b0cefa7ab47022b7bcabe64155a9b73"),
+            ("mixing", [], "9aeed96b9dfb8931f84d4a6a273c5dad2f0a267d170d8d6f2dc522e8368ec2f3"),
             ("mixing", ["--truncation-upper", "40"],
-             "616ef141cfbf7d7a6084c98233a90c4128b0b4a8e13bcb56102b13b2fcdb174b"),
-            ("hybrid", [], "dc90889d4face892bc44dc9a5b5e4b417000a19f862cf0af5e3fbdb9949056ef"),
+             "af888e5ad8a97f1112ebf72ccbba61c7702dd3baeb1fdf8d7344d5324ee7a196"),
+            ("hybrid", [], "e88256ba80dbe0b5d5ffcc7e259240c8d1de8827199174b1946ea22fa090965e"),
             ("hybrid", ["--truncation-upper", "40"],
-             "8119e96408b6c67167eae6c4a9a77ba587ec09fbaff78752890f23625cda2e02"),
+             "9d7e89561093371481209b5bc7202a8801d11725af30845e86c6218be6b11b88"),
         ],
     )
     def test_bounds_json_is_pinned(self, tmp_path, capsys, method, upper, json_sha256):
@@ -638,14 +660,16 @@ class TestTruncationPins:
         capsys.readouterr()
 
     @pytest.mark.parametrize(("method", "json_sha256"), [
-        ("naive", "581a3b71c8bc196530efcf39e94eb7ee40041993b94617fceb86d3576451789d"),
-        ("manski-max", "d1054c1f09aad49c782cc5d84a675222d8d6a712c1b28ba15e405d7166e8da9c"),
-        ("manski-q05", "c505afdc37bb665dffdf4e4607784bc78d6d2eb1c67bc3ea0e98639f389aca7c"),
-        ("manski-q10", "3174395058110b42d1e62ce3cb0e653fe8e233cae181b1954ed89c1eb84c1292"),
+        ("naive", "9f5e1f67eb1aa86fb5f50dcc3aebe95729799a6877e98248a843b4a3f0c0426f"),
+        ("manski-max", "83f109febe3725dde0c78b09e18f36a32f1006ac6790a3eb5db2825837b9866e"),
+        ("manski-q05", "89e3baa14c1d680fd308d582f9536dfc3df4938b85a424f869f944024bf7e36c"),
+        ("manski-q10", "220d32c8006ad4977aa7e063ff0bcd7aadc09cef01d37c058abbe7c3824337ed"),
     ])
     def test_wald_band_bounds_json_is_pinned(self, tmp_path, capsys, method, json_sha256):
         """The four methods that take no truncation, at the demo's jump;
-        recorded before ``BandResult`` lost its normal multiplier."""
+        recorded before ``BandResult`` lost its normal multiplier, and
+        re-recorded when the configuration hash took in the group filter:
+        only ``metadata.config_hash`` moved."""
         report = tmp_path / "bounds.json"
         rc = main(["bounds", demo_csv(tmp_path), "--tau", "55", "--method", method,
                    "--json", str(report)])
@@ -818,6 +842,18 @@ class TestScan:
         assert [r["tau"] for r in payload["rows"]] == [30.0, 55.0]
         assert [r["alpha_u"] for r in payload["rows"]] == [0.01, 0.04]
 
+    def test_the_grid_is_hashed_as_thresholds_not_as_typed(self, tmp_path, capsys):
+        """Three spellings of the default grid, and no ``--grid`` at all,
+        run the same 19 looks and so write the same report."""
+        path, reports = demo_csv(tmp_path), []
+        for i, grid in enumerate((None, "5:95:5", "5.0:95:5", "5:95:5.0")):
+            report = tmp_path / f"scan{i}.json"
+            flags = [] if grid is None else ["--grid", grid]
+            assert main(["scan", path, *flags, "--json", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[1:] == reports[:1] * 3
+        capsys.readouterr()
+
     def test_all_skipped_grid_exits_degenerate(self, tmp_path, capsys):
         rc = main(["scan", demo_csv(tmp_path), "--grid", "60:95:5"])
         assert rc == 4
@@ -885,43 +921,43 @@ class TestScan:
             (
                 "naive",
                 "b94e0fb4d12f22919a8684034e308bc6d5a689a85d9192613d9239c941391a60",
-                "e9aa853996c87139468926025fa5732335eaea341167147c2350a145c32063f1",
+                "4a98b148db4be12f090ad253a6df09fde623d0b1f3502cbe8217d74f410413a0",
                 "632e628c837d4cde41f2546deb64d4f10b6e047fbc0d9a1be092c710ff155553",
             ),
             (
                 "manski-max",
                 "b288bed758d9c718803235f1d5dd077dd2688a579abb71c355ccb6d94f881e36",
-                "9ea812e809c0aeef907b4eb690b15742ca4c0d6f1e4510d7bb91c53c5f7ee785",
+                "bae0e947e45e68255e7c1611162f24841da3b66d71d03b34fd6e5afd210a4be9",
                 "5911d4868aec8a7f90e3a59c429bb5b9727ae7138661c467581839d035d6e389",
             ),
             (
                 "manski-q05",
                 "fa2905609601db0610ad8cdfde3b2ed372d746277b33879f65e5ad52d2da0756",
-                "b9002e253a0bd48c3ee206f21edab92eceef9cfbe425d8df3df0aca0afd8e11b",
+                "835d34b7c60783c1ae34c0348ba2ec021e54b55b1a4f7ed57db863770868dabf",
                 "17dfbe3d12e4c1ccf834384c0a08a4fc847675552c816b831c5adbe8ba5563a9",
             ),
             (
                 "manski-q10",
                 "7507efd0bb7419f340460a0da26d178d09b76d641c80c097c826e85558f47bf6",
-                "f920af564981bc64d0271e6ad48cf8976d81b994620d4b1682ff45fc60c58ad2",
+                "5131edf45cf39320c820220bffb75b290f497348b5a1e44e1b5d375adaa65592",
                 "bad9f2f2a289a2e6dc1153cbd707d2c9d226675c615059f8f095a3fffc87bf37",
             ),
             (
                 "iid",
                 "518fe9de8fff8d2b60809c596ae484a7a787ab827c94d33a5c2b3b40d8b6ba0b",
-                "5b77fd70098f4bb9f96775565442a38c48dcf8d303210d7b7913a2f100804626",
+                "5148365a020e1a33a4bdb05cd167ea402d943c4dddf8cf930e52b950688bf613",
                 "c97a4ab6b8cdc618a7da48ddff519581728a697cc019a79aa6ed95aeb8a4e993",
             ),
             (
                 "mixing",
                 "7ff38c7dcff9de1d2a13a0a6e9536ca0e3ddca544a4b096a26502964584339ad",
-                "f91576429964c0f11bd940760c412b757e8f38b5bf7bab5ff7f38a486d3da18a",
+                "eb8a1b0a7abad05bef7cd5c1becfbc93d114bf2cb4c6c5f0962ff69869ad1075",
                 "d0e95e83c97ce5dbc2f4676ebea7bd450391b95b3ae435f5bb682c0da5d6babb",
             ),
             (
                 "hybrid",
                 "0693cd2b84a6ade68aaf4300d42f137ba1e8fdcb825a23bba6dd6721f2b339bd",
-                "432dbc8a7735f9dae26c67bd90bc9c13a94258f6a84bf44d31058bcede04203b",
+                "3ffe3d60d9ee41d8888797f8ade731a8104949277f5e50b08f0e6e8dcfb5d464",
                 "a1cf495245d15f0084c4ee9e7659955430402aaa0304273e5efef00040e517fe",
             ),
         ],
@@ -938,7 +974,9 @@ class TestScan:
         re-recorded when those bands came to be evaluated from the data's own
         origin: ``iid`` keeps tau = 55 as its one look excluding zero, and
         ``mixing`` now excludes zero at tau = 55 too, where it had no tipping
-        threshold; no skip changed."""
+        threshold; no skip changed.  Every JSON digest was re-recorded when
+        the configuration hash came to take the thresholds, not the grid as
+        typed, and the group filter: only ``metadata.config_hash`` moved."""
         out, report, chart = tmp_path / "scan.csv", tmp_path / "scan.json", tmp_path / "scan.svg"
         rc = main([
             "scan", demo_csv(tmp_path), "--method", method,
@@ -1045,21 +1083,22 @@ class TestScan:
         """Each row draws its own signal, so every look splits on a mask of
         short runs; digest recorded and re-recorded with the same pins as above,
         and re-recorded with the ``iid``/``mixing`` pins: no look excludes zero
-        before or after, and no skip changed."""
+        before or after, and no skip changed.  Re-recorded with the hashed
+        thresholds and group filter too: only ``metadata.config_hash`` moved."""
         path = tmp_path / "null.csv"
         write_panel_csv(make_null_panel(500, 4, seed=11), path)
         report = tmp_path / "scan.json"
         assert main(["scan", str(path), "--method", "mixing", "--json", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "5c412114baf632480a0cf6fc4b3ab54803a7853211e5a56bce786dc116b313ca"
+            "337fc6613170b378a495371e9a4988401836591e01510db8bdf2bbb9940e3d34"
         )
         capsys.readouterr()
 
     @pytest.mark.parametrize(
         ("signal_per", "json_sha256"),
         [
-            ("row", "075abcb084e9829e6a63c3021e05d3cb9c3fafc98a86d4ed01453fa77096fefb"),
-            ("unit", "f1a328b1ba0c37b68100c9af78a00b821b2363b924b3a5c107612d285df083fb"),
+            ("row", "5b2063989d7b44b224ef24d05ce67132043a098939d6499c50a63256396e212f"),
+            ("unit", "33388ed114d4a5bd099ca578ae19ccf1b3a603a4b7f22bcd9519dfce0e4012ec"),
         ],
     )
     def test_many_look_mixing_scan_is_pinned_on_both_mask_shapes(
@@ -1073,7 +1112,9 @@ class TestScan:
         ``metadata.config_hash`` moved, as above, and with the ``iid``/``mixing``
         pins: the 11 looks (row) and 2 looks (unit) that excluded zero, with
         tipping thresholds 2 (negative) and 92 (positive), were bands outside
-        their own region; now none excludes zero, and no skip changed."""
+        their own region; now none excludes zero, and no skip changed.
+        Re-recorded with the hashed thresholds and group filter too: only
+        ``metadata.config_hash`` moved."""
         rng = np.random.default_rng(20261018)
         n_units, n_periods = 40, 50
         n = n_units * n_periods
